@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="match-probability threshold for the cluster graph")
     er.add_argument("--shards", type=int, default=4,
                     help="resume granularity for the shardable stages")
-    er.add_argument("--key-bits", type=int, choices=[64, 128], default=64,
-                    dest="key_bits",
-                    help="connected-components node-key width (128 beyond ~1e10 nodes)")
     er.add_argument("--normalized", action="store_true",
                     help="input already carries (url, norm_text, norm_title)")
     return p
@@ -104,7 +101,7 @@ def main(argv: list[str] | None = None) -> dict:
             result = run_er_checkpointed(
                 args.input,
                 args.workdir,
-                cfg=ERConfig(theta=args.theta, cc_key_bits=args.key_bits),
+                cfg=ERConfig(theta=args.theta),
                 num_shards=args.shards,
                 normalized_input=args.normalized,
             )

@@ -50,10 +50,6 @@ class ERConfig:
     reciprocal: bool = False  # True → 1:1 semantics (D4) before closure
     cc_rounds: int = 25
     cc_driver_threshold: int = 200_000
-    # 64 (default) hashes node urls to one int64 key; 128 carries two-word
-    # keys through the same exchanges — use beyond ~10^10 nodes where the
-    # 64-bit collision bound n²/2^64 stops being negligible
-    cc_key_bits: int = 64
     seed: int = 7
     extra: dict = field(default_factory=dict)
 
@@ -133,7 +129,6 @@ def cluster(predictions_ds, cfg: ERConfig):
         edges,
         max_rounds=cfg.cc_rounds,
         driver_threshold=cfg.cc_driver_threshold,
-        key_bits=cfg.cc_key_bits,
     )
 
 

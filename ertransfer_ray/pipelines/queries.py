@@ -3137,14 +3137,15 @@ ORACLE_SQL["doc_pack_sequences"] = """
         FROM documents
     ), s AS (
         SELECT doc_id, token_count,
-               coalesce(SUM(token_count) OVER (ORDER BY doc_id
+               CAST(coalesce(SUM(token_count) OVER (ORDER BY doc_id
                    ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-                   AS start_pos
+                   AS BIGINT) AS start_pos
         FROM tc
     )
     SELECT doc_id, token_count, start_pos,
-           start_pos // 512 AS seq_first,
-           (start_pos + greatest(token_count, 1) - 1) // 512 AS seq_last
+           CAST(start_pos // 512 AS BIGINT) AS seq_first,
+           CAST((start_pos + greatest(token_count, 1) - 1) // 512 AS BIGINT)
+               AS seq_last
     FROM s ORDER BY doc_id
 """
 
@@ -3159,9 +3160,9 @@ ORACLE_SQL["doc_packed_sequences"] = """
         FROM documents
     ), off AS (
         SELECT doc_id, w,
-               coalesce(SUM(len(w)) OVER (ORDER BY doc_id
+               CAST(coalesce(SUM(len(w)) OVER (ORDER BY doc_id
                    ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-                   AS start
+                   AS BIGINT) AS start
         FROM d WHERE len(w) > 0
     ), tok AS (
         SELECT doc_id,
@@ -3169,7 +3170,7 @@ ORACLE_SQL["doc_packed_sequences"] = """
                unnest(w) AS token
         FROM off
     )
-    SELECT pos // 512 AS seq_id,
+    SELECT CAST(pos // 512 AS BIGINT) AS seq_id,
            count(*) AS n_tokens,
            count(DISTINCT doc_id) AS n_docs,
            arg_min(token, pos) AS first_token,

@@ -217,29 +217,91 @@ def _driver_union_find(edge_rows: list[tuple[str, str]]) -> pd.DataFrame:
     ).sort_values("url", ignore_index=True)
 
 
-def _checksum(labels_ds) -> tuple[int, int]:
-    """Order-independent fixpoint checksum of the (node, comp) labels table.
+#: Largest node count the distributed path keys with ONE 63-bit hash word.
+#: n hashed nodes hold about n²/2^64 colliding pairs, and a collision
+#: merges two components, so at 2^22 nodes the odds of any stay ≤ 2^-20.
+#: Above it each node key carries a second, independent word (n²/2^127).
+#: Tests monkeypatch this to force the two-word path.
+ONE_WORD_MAX_NODES = 1 << 22
+
+# SipHash key per word; word 0 is functions.hashing.stable_hash64
+_WORD_HASH_KEYS = ("0123456789123456", "ertransfer128key")
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_words(n_nodes: int) -> int:
+    """Words per node key for a graph of at most ``n_nodes`` nodes."""
+    return 1 if n_nodes <= ONE_WORD_MAX_NODES else 2
+
+
+def _cols(name: str, words: int) -> tuple[str, ...]:
+    """Column names of a ``words``-word key: ``name``, ``name1``, ..."""
+    return tuple(f"{name}{i}" if i else name for i in range(words))
+
+
+def _node_words(urls: pa.Array, words: int, key_mask=None) -> list[np.ndarray]:
+    """Stable node key of each url as ``words`` non-negative int64 words.
+    ``key_mask`` (test hook) masks word i with ``key_mask[i]`` to force
+    collisions in that word."""
+    vals = np.asarray(urls.to_numpy(zero_copy_only=False), dtype=object)
+    out = []
+    for i, hash_key in enumerate(_WORD_HASH_KEYS[:words]):
+        h = pd.util.hash_array(vals, hash_key=hash_key, categorize=False) >> np.uint64(1)
+        if key_mask is not None:
+            h &= np.uint64(key_mask[i] & ((1 << 64) - 1))
+        out.append(h.astype(np.int64))
+    return out
+
+
+def _index(df: pd.DataFrame, cols: tuple[str, ...]) -> pd.Index:
+    if len(cols) == 1:
+        return pd.Index(df[cols[0]])
+    return pd.MultiIndex.from_arrays([df[c] for c in cols])
+
+
+def _min_by_key(df: pd.DataFrame, key: tuple[str, ...], val: tuple[str, ...]) -> pd.DataFrame:
+    """Per ``key``, the lexicographically smallest ``val`` word tuple. One
+    word is a plain groupby-min; two words take one stable sort by value
+    plus groupby-first."""
+    if len(val) == 1:
+        return df.groupby(list(key), sort=False, as_index=False)[val[0]].min()
+    d = df[[*key, *val]].sort_values(list(val), kind="stable")
+    return d.groupby(list(key), sort=False, as_index=False).first()
+
+
+def _lookup(req: pd.DataFrame, table: pd.DataFrame,
+            key: tuple[str, ...], val: tuple[str, ...]) -> list[np.ndarray]:
+    """``table``'s ``val`` words at each ``req`` row's ``key``, or the key
+    itself where absent. Positions come from ``get_indexer`` — never
+    Series.map + fillna or a left merge, whose missing-value path turns the
+    int64 hash words into float64 and corrupts keys above 2^53."""
+    if len(table) == 0:
+        return [req[k].to_numpy() for k in key]
+    idx = _index(table, key).get_indexer(_index(req, key))
+    hit = idx >= 0
+    return [
+        np.where(hit, table[v].to_numpy()[idx], req[k].to_numpy())
+        for k, v in zip(key, val)
+    ]
+
+
+def _checksum(labels_ds, cols: tuple[str, ...]) -> tuple[int, int]:
+    """Order-independent fixpoint checksum of the label table's ``cols``.
     Labels only ever decrease lexicographically, so an unchanged checksum
     pair ⇒ converged (collision odds ~2^-92).
 
     Runs as a distributed partial-sum: each block reduces to one (s1, s2)
     row, so the driver pulls O(blocks) rows per round — never the label
     table itself (at web scale that drain would dominate the round)."""
-    from ..functions.hashing import stable_hash64
-
     P1, P2 = (1 << 61) - 1, (1 << 31) - 1
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0 or "node" not in b.columns:
+        if len(b) == 0 or cols[0] not in b.columns:
             return pd.DataFrame({"s1": [], "s2": []}, dtype="int64")
-        if pd.api.types.is_integer_dtype(b["node"]):
-            # int-keyed rounds: mix the two 64-bit columns (wrap mod 2^64 is
-            # fine for a checksum)
-            h = pd.util.hash_array(b["node"].to_numpy()) * np.uint64(
-                0x9E3779B97F4A7C15
-            ) + pd.util.hash_array(b["comp"].to_numpy())
-        else:
-            h = stable_hash64((b["node"] + "|" + b["comp"]).tolist())
+        # mix the key words (wrap mod 2^64 is fine for a checksum)
+        h = np.zeros(len(b), dtype=np.uint64)
+        for c in cols:
+            h = h * _PHI + pd.util.hash_array(b[c].to_numpy())
         # mod in uint64 first (exact: P1, P2 < 2^63), object-sum the residues
         s1 = int((h % np.uint64(P1)).astype(object).sum()) % P1
         s2 = int((h % np.uint64(P2)).astype(object).sum()) % P2
@@ -258,7 +320,6 @@ def connected_components(
     edges_ds,
     max_rounds: int = 25,
     driver_threshold: int = 200_000,
-    key_bits: int = 64,
     _key_mask: tuple[int, int] | None = None,
 ):
     """Connected components over an edge Dataset (left_url, right_url) →
@@ -267,30 +328,34 @@ def connected_components(
     ``cluster_id`` is the lexicographically smallest url of the component —
     deterministic at any parallelism level (FIXTURES.md invariant 2).
 
-    Two execution paths:
+    The input is materialized once as its two url columns; both paths and
+    the edge count read that copy. Two execution paths:
     - edge count ≤ ``driver_threshold``: exact union-find on the driver
       (the candidate set is provably small — the guide's sanctioned case);
-    - else distributed min-label propagation over int64 url-hash keys: each
+    - else distributed min-label propagation over hashed url keys: each
       round is ``union(edges, labels) → groupby(node) → min-label messages
       → groupby(node).min``, a label-of-label shortcut cogroup
       (label(v) ← label(label(v))), then EDGE CONTRACTION through the new
       labels — five exchanges per round, O(log diameter) rounds under
       ARBITRARY label order (propagation + doubling alone is O(d) when
       label order is uncorrelated with adjacency), early exit on checksum
-      fixpoint. Round messages carry only int64 pairs; urls re-attach once
-      after convergence; nothing materializes on the driver.
+      fixpoint (the Hash-to-Min / Two-Phase round shape, "Finding connected
+      components in map-reduce in logarithmic rounds", ICDE 2013). Round
+      messages carry only int64 words; urls re-attach once after
+      convergence; nothing materializes on the driver.
 
-    ``key_bits=128`` switches the distributed path to 128-bit node keys
-    carried as two int64 columns through the SAME exchanges (see
-    _connected_components_wide) — use beyond ~10^10 nodes where the 64-bit
-    collision bound p ≈ n²/2^64 stops being negligible. ``_key_mask`` is a
-    test hook that masks (hi, lo) words to force single-word collisions.
+    A node key is one 63-bit word while the graph has at most
+    ``ONE_WORD_MAX_NODES`` nodes (``2 × edges`` bounds it) and two words
+    above that; see that constant for the collision bound. ``_key_mask`` is
+    a test hook that masks the words to force single-word collisions.
     """
-    edges = edges_ds.select_columns(["left_url", "right_url"])
-    n_edges = edges.count()
-    if n_edges == 0:
-        import ray.data as rd
+    import ray.data as rd
 
+    from .groupby import exchange_group_apply
+
+    edges = edges_ds.select_columns(["left_url", "right_url"]).materialize()
+    n_edges = edges.count()  # block metadata of the materialized copy
+    if n_edges == 0:
         return rd.from_arrow(
             pa.table({"url": pa.array([], pa.string()), "cluster_id": pa.array([], pa.string())})
         )
@@ -298,166 +363,113 @@ def connected_components(
         rows: list[tuple[str, str]] = []
         for b in edges.iter_batches(batch_format="pandas"):
             rows.extend(zip(b["left_url"].tolist(), b["right_url"].tolist()))
-        import ray.data as rd
-
         return rd.from_pandas(_driver_union_find(rows))
-    if key_bits == 128:
-        return _connected_components_wide(edges, max_rounds, _key_mask)
-    if key_bits != 64:
-        raise ValueError(f"key_bits must be 64 or 128, got {key_bits}")
 
     # ---- distributed path ----
-    # Node keys inside the rounds are 64-bit stable hashes of the urls:
-    # every round's pandas kernels (groupby-min, map) run ~300x faster on
-    # int64 than on object strings (measured 2.2 ms vs 809 ms per 20k-row
-    # bucket) and the exchanges move 8-byte keys instead of urls. Urls are
-    # re-attached and the component renamed to its lexicographically
-    # smallest member AFTER the fixpoint — identical output contract. A
-    # hash collision would merge two components (p ≈ n²/2^64; at 10^12
-    # nodes pass key_bits=128 — the hi/lo wide-key variant below).
-    from ..functions.hashing import stable_hash64
+    # Node keys inside the rounds are stable hashes of the urls, carried as
+    # int64 word columns N (node) and V (its label, or an edge's neighbor):
+    # every round's pandas kernels run ~300x faster on int64 than on object
+    # strings (measured 2.2 ms vs 809 ms per 20k-row bucket) and the
+    # exchanges move 8-byte words instead of urls. Exchanges co-locate on
+    # the first word, which equal keys share. Urls are re-attached and the
+    # component renamed to its lexicographically smallest member AFTER the
+    # fixpoint — identical output contract.
+    words = _key_words(2 * n_edges)
+    N, V = _cols("node", words), _cols("val", words)
+    swap = {**dict(zip(N, V)), **dict(zip(V, N))}
 
-    def _h(arr: pa.Array) -> np.ndarray:
-        vals = arr.to_numpy(zero_copy_only=False)
-        return (stable_hash64(vals) >> np.uint64(1)).astype(np.int64)
+    def flagged(df: pd.DataFrame, is_label: int) -> pd.DataFrame:
+        df["is_label"] = np.full(len(df), is_label, dtype=np.int8)
+        return df
 
-    # rows: (node, val, is_label). Edge rows carry the neighbor in `val`
-    # (both orientations); label rows carry the node's current component.
+    # rows: (N, V, is_label). Edge rows carry the neighbor in V (both
+    # orientations); label rows carry the node's current component.
     def edge_rows(t: pa.Table) -> pa.Table:
-        l = _h(t.column("left_url").combine_chunks())
-        r = _h(t.column("right_url").combine_chunks())
-        n = t.num_rows
-        return pa.table(
-            {
-                "node": pa.array(np.concatenate([l, r])),
-                "val": pa.array(np.concatenate([r, l])),
-                "is_label": pa.array(np.zeros(2 * n, dtype=np.int8)),
-            }
-        )
+        l = _node_words(t.column("left_url").combine_chunks(), words, _key_mask)
+        r = _node_words(t.column("right_url").combine_chunks(), words, _key_mask)
+        return pa.table({
+            **{n: np.concatenate([a, b]) for n, a, b in zip(N, l, r)},
+            **{v: np.concatenate([b, a]) for v, a, b in zip(V, l, r)},
+            "is_label": np.zeros(2 * t.num_rows, dtype=np.int8),
+        })
 
     edges_bi = edges.map_batches(edge_rows, batch_format="pyarrow").materialize()
 
-    # (node_hash, url) mapping for the final re-attachment, batch-deduped
+    # (N, url) mapping for the final re-attachment, batch-deduped; shaped
+    # as the attach exchange's url side (V zeros, is_label 0)
     def url_rows(t: pa.Table) -> pa.Table:
-        l = t.column("left_url").combine_chunks()
-        r = t.column("right_url").combine_chunks()
-        urls = pa.concat_arrays([l, r])
-        h = np.concatenate([_h(l), _h(r)])
-        _, idx = np.unique(h, return_index=True)
-        return pa.table(
-            {
-                "node": pa.array(h[idx]),
-                "url": urls.take(pa.array(idx)),
-            }
+        urls = pa.concat_arrays(
+            [t.column("left_url").combine_chunks(), t.column("right_url").combine_chunks()]
         )
+        w = _node_words(urls, words, _key_mask)
+        keep = ~pd.DataFrame(dict(zip(N, w))).duplicated().to_numpy()
+        zero = np.zeros(int(keep.sum()), dtype=np.int64)
+        return pa.table({
+            **{n: a[keep] for n, a in zip(N, w)},
+            **{v: zero for v in V},
+            "is_label": np.zeros(len(zero), dtype=np.int8),
+            "url": urls.filter(pa.array(keep)),
+        })
 
     url_map = edges.map_batches(url_rows, batch_format="pyarrow").materialize()
 
     labels = edges_bi.map_batches(
-        lambda t: pa.table(
-            {
-                "node": t.column("node"),
-                "val": t.column("node"),
-                "is_label": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        ),
+        lambda t: pa.table({
+            **{n: t.column(n) for n in N},
+            **{v: t.column(n) for n, v in zip(N, V)},
+            "is_label": np.ones(t.num_rows, dtype=np.int8),
+        }),
         batch_format="pyarrow",
     )
 
-    from .groupby import exchange_group_apply
-
-    def _lookup_int(keys: pd.Series, lab: pd.Series) -> np.ndarray:
-        """Exact int64 lookup with key default: get_indexer + where — never
-        Series.map + fillna, whose missing-value path converts the int64
-        hash column to float64 and silently corrupts keys above 2^53."""
-        if len(lab) == 0:
-            return keys.to_numpy()
-        idx = lab.index.get_indexer(keys)
-        return np.where(idx >= 0, lab.to_numpy()[idx], keys.to_numpy())
+    def hop(df: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
+        """The one in-bucket step of every round exchange: label rows
+        (is_label 1) form the table node → min label; each other row
+        (n, v) becomes the message (v, label(n)), label(n) defaulting to n."""
+        table = _min_by_key(df[df["is_label"] == 1], N, V)
+        req = df[df["is_label"] == 0]
+        msgs = pd.DataFrame({**{n: req[v].to_numpy() for n, v in zip(N, V)},
+                             **dict(zip(V, _lookup(req, table, N, V)))})
+        return table, msgs
 
     def propagate(df: pd.DataFrame) -> pd.DataFrame:
-        """One whole bucket: per-node min label (vectorized), then messages
-        comp(node) → each neighbor, plus the node's own refreshed label."""
-        labs = df[df["is_label"] == 1]
-        comp = labs.groupby("node", sort=False)["val"].min()
-        edges = df[df["is_label"] == 0]
-        out = pd.concat(
-            [
-                pd.DataFrame({"node": comp.index.to_numpy(), "val": comp.to_numpy()}),
-                pd.DataFrame(
-                    {
-                        "node": edges["val"].to_numpy(),
-                        "val": _lookup_int(edges["node"], comp),
-                    }
-                ),
-            ],
-            ignore_index=True,
-        )
-        out["is_label"] = np.ones(len(out), dtype=np.int8)
-        return out
+        """Per-node min label, sent to each neighbor, plus the node's own
+        refreshed label."""
+        table, msgs = hop(df)
+        return flagged(pd.concat([table, msgs], ignore_index=True), 1)
 
-    def dedup_min(df: pd.DataFrame) -> pd.DataFrame:
-        comp = df.groupby("node", sort=False)["val"].min()
-        return pd.DataFrame(
-            {
-                "node": comp.index.to_numpy(),
-                "val": comp.to_numpy(),
-                "is_label": np.ones(len(comp), dtype=np.int8),
-            }
-        )
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return flagged(_min_by_key(df, N, V), 1)
 
-    def pointer_double(labels_ds):
-        """Shortcut pass: label(v) ← label(label(v)).
+    def shortcut(t: pa.Table) -> pa.Table:
+        """Label rows plus, per label row (v, label(v)), the request
+        (label(v), v) whose hop answers (v, label(label(v))).
 
         Neighbor propagation alone moves a component's min label one hop
         per round (O(diameter) rounds — the round-1 advice finding); this
         label-of-label hop compresses descending pointer chains. Doubling
         only helps where such chains exist — under arbitrary label order it
         stalls at local-min basins, which is why the round ALSO contracts
-        the edge set (see relabel_edges). One cogroup shuffle keyed by the
-        label value: request rows (key=label, node) meet label rows
-        (key=node, label).
+        the edge set (see contract). Because labels only decrease and every
+        node's label row includes itself as a candidate, label(v) ≤ v, hence
+        label(label(v)) ≤ label(v): the hop's output — exactly one row per
+        node — is already the round's final label table."""
+        req = pa.table({
+            **{n: t.column(v) for n, v in zip(N, V)},
+            **{v: t.column(n) for n, v in zip(N, V)},
+            "is_label": np.zeros(t.num_rows, dtype=np.int8),
+        })
+        return pa.concat_tables([t.select(req.column_names), req])
 
-        Because labels only decrease and every node's label row includes
-        itself as a candidate, label(v) ≤ v, hence label(label(v)) ≤
-        label(v): the output — exactly one row per node — is already the
-        round's final min label table, no merge exchange needed."""
+    def doubled(df: pd.DataFrame) -> pd.DataFrame:
+        return flagged(hop(df)[1], 1)
 
-        def tag(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            node = t.column("node").combine_chunks()
-            val = t.column("val").combine_chunks()
-            return pa.table(
-                {
-                    "key": pa.chunked_array([pa.concat_arrays([val, node])]),
-                    "node": pa.chunked_array([pa.concat_arrays([node, val])]),
-                    "role": pa.array(
-                        np.concatenate(
-                            [np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]
-                        )
-                    ),
-                }
-            )
-
-        tagged = labels_ds.map_batches(tag, batch_format="pyarrow")
-
-        def resolve(df: pd.DataFrame) -> pd.DataFrame:
-            lab = df[df["role"] == 1].groupby("key", sort=False)["node"].min()
-            req = df[df["role"] == 0]
-            return pd.DataFrame(
-                {
-                    "node": req["node"].to_numpy(),
-                    "val": _lookup_int(req["key"], lab),
-                    "is_label": np.ones(len(req), dtype=np.int8),
-                }
-            )
-
-        return exchange_group_apply(tagged, "key", resolve)
-
-    def relabel_edges(edges_ds, labels_ds):
-        """Contract the working edge set through the current labels:
-        (a, b) → (label(a), label(b)), dropping intra-component self-loops
-        and bucket-local duplicates.
+    def contract(both_ways: bool):
+        """Rewrite one endpoint of every edge to its label, dropping
+        self-loops and bucket-local duplicates. Two passes turn (a, b) into
+        (label(a), label(b)); the second re-emits BOTH orientations, since a
+        self-loop drop on one side only would leave a one-way edge, and
+        one-way min flow can stabilize a split component.
 
         Without contraction, min-label + pointer doubling is only O(log d)
         when the label ORDER happens to align with graph adjacency (the
@@ -467,67 +479,18 @@ def connected_components(
         DIRECT neighbors each round, so basins halve per round regardless
         of order (Shiloach-Vishkin hook+shortcut shape). The edge table
         shrinks monotonically, so the two extra exchanges get cheaper every
-        round.
-        """
+        round."""
 
-        def sub(col: str):
-            def fn(t: pa.Table) -> pa.Table:
-                # key = the endpoint being rewritten this pass
-                return pa.table(
-                    {
-                        "key": t.column(col),
-                        "other": t.column("val" if col == "node" else "node"),
-                        "role": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                )
-
-            return fn
-
-        def lab_rows(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "key": t.column("node"),
-                    "other": t.column("val"),
-                    "role": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                }
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            e = hop(df)[1]
+            if both_ways:
+                e = pd.concat([e, e.rename(columns=swap)], ignore_index=True)
+            loop = np.logical_and.reduce(
+                [e[n].to_numpy() == e[v].to_numpy() for n, v in zip(N, V)]
             )
+            return flagged(e[~loop].drop_duplicates(), 0)
 
-        def rewrite(out_first: str):
-            def fn(df: pd.DataFrame) -> pd.DataFrame:
-                lab = df[df["role"] == 1].groupby("key", sort=False)["other"].min()
-                e = df[df["role"] == 0]
-                out = pd.DataFrame(
-                    {"node": _lookup_int(e["key"], lab), "val": e["other"].to_numpy()}
-                )
-                if out_first == "val":
-                    out = out.rename(columns={"node": "val", "val": "node"})
-                    # final pass re-emits BOTH orientations: a self-loop drop
-                    # on one side only would otherwise leave a one-way edge,
-                    # and one-way min flow can stabilize a split component
-                    out = pd.concat(
-                        [out, out.rename(columns={"node": "val", "val": "node"})],
-                        ignore_index=True,
-                    )
-                out = out[out["node"] != out["val"]].drop_duplicates()
-                out["is_label"] = np.zeros(len(out), dtype=np.int8)
-                return out[["node", "val", "is_label"]]
-
-            return fn
-
-        lab = labels_ds.map_batches(lab_rows, batch_format="pyarrow")
-        # pass 1 rewrites `node`, pass 2 rewrites `val`; both orientations
-        # survive because the input carries both
-        step1 = exchange_group_apply(
-            edges_ds.map_batches(sub("node"), batch_format="pyarrow").union(lab),
-            "key",
-            rewrite("node"),
-        )
-        step2 = exchange_group_apply(
-            step1.map_batches(sub("val"), batch_format="pyarrow").union(lab),
-            "key",
-            rewrite("val"),
-        )
-        return step2
+        return fn
 
     prev = None
     converged = False
@@ -536,22 +499,20 @@ def connected_components(
         # shuffles of ~1M string rows per round measured ~40 s/round on
         # 450k edges — the exchange form runs the same round in seconds.
         # Five exchanges per round: propagate, min-combine, pointer-double
-        # (whose output is itself the new label table, see its docstring),
-        # then the two contraction passes over the shrinking edge set.
-        msgs = exchange_group_apply(edges_bi.union(labels), "node", propagate)
-        base = exchange_group_apply(msgs, "node", dedup_min)
-        labels = pointer_double(base).materialize()
-        cur = _checksum(
-            labels.map_batches(
-                lambda t: pa.table({"node": t.column("node"), "comp": t.column("val")}),
-                batch_format="pyarrow",
-            )
-        )
+        # (whose output is itself the new label table, see shortcut), then
+        # the two contraction passes over the shrinking edge set.
+        msgs = exchange_group_apply(edges_bi.union(labels), N[0], propagate)
+        base = exchange_group_apply(msgs, N[0], combine)
+        labels = exchange_group_apply(
+            base.map_batches(shortcut, batch_format="pyarrow"), N[0], doubled
+        ).materialize()
+        cur = _checksum(labels, N + V)
         if cur == prev:
             converged = True
             break
         prev = cur
-        edges_bi = relabel_edges(edges_bi, labels).materialize()
+        half = exchange_group_apply(edges_bi.union(labels), N[0], contract(False))
+        edges_bi = exchange_group_apply(half.union(labels), N[0], contract(True)).materialize()
     if not converged:
         # exhausting the round budget without a checksum fixpoint means some
         # component wider than the propagation horizon is still split across
@@ -565,360 +526,32 @@ def connected_components(
             stacklevel=2,
         )
 
-    # re-attach urls to the int-keyed labels and rename each component to
-    # its lexicographically smallest member url (the public contract).
-    # Exchange 1 (key = node hash): label rows meet url-map rows.
-    def tag_label(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("node"),
-                "comp": t.column("val"),
-                "url": pa.array([None] * t.num_rows, pa.string()),
-                "role": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def tag_url(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t.column("node"),
-                "comp": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                "url": t.column("url"),
-                "role": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    tagged = labels.map_batches(tag_label, batch_format="pyarrow").union(
-        url_map.map_batches(tag_url, batch_format="pyarrow")
-    )
-
+    # re-attach urls to the hashed labels and rename each component to its
+    # lexicographically smallest member url (the public contract).
+    # Exchange 1 (key = node): label rows meet url-map rows.
     def attach_urls(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["role"] == 0][["key", "comp"]]
-        um = df[df["role"] == 1].drop_duplicates("key")[["key", "url"]]
-        return lab.merge(um, on="key", how="inner")[["comp", "url"]]
+        lab = df[df["is_label"] == 1][[*N, *V]]
+        um = df[df["is_label"] == 0].drop_duplicates(list(N))[[*N, "url"]]
+        return lab.merge(um, on=list(N), how="inner")[[*V, "url"]]
 
-    members = exchange_group_apply(tagged, "key", attach_urls)
+    tagged = labels.map_batches(
+        lambda t: t.append_column("url", pa.nulls(t.num_rows, pa.string())),
+        batch_format="pyarrow",
+    ).union(url_map)
+    members = exchange_group_apply(tagged, N[0], attach_urls)
 
-    # Exchange 2 (key = component hash): all members co-located → min url
+    # Exchange 2 (key = component): all members co-located → min url
     # names the cluster for every member in one pass.
     def name_cluster(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.groupby("comp", sort=False)["url"].min()
+        m = df.groupby(list(V), sort=False)["url"].min()
         return pd.DataFrame(
             {
                 "url": df["url"].to_numpy(),
-                "cluster_id": df["comp"].map(m).to_numpy(),
+                "cluster_id": m.to_numpy()[m.index.get_indexer(_index(df, V))],
             }
         )
 
-    return exchange_group_apply(members, "comp", name_cluster)
-
-
-def _hash128(arr: pa.Array, key_mask: tuple[int, int] | None = None):
-    """128-bit stable node key as two independent SipHash-1-3 streams
-    (different 16-byte keys), each folded to a non-negative int64. Collision
-    bound for the pair is p ≈ n²/2^127 — negligible past 10^12 nodes, where
-    the single-word bound (clustering 64-bit path) is not. ``key_mask``
-    (test hook) masks each word to force single-word collisions."""
-    vals = np.asarray(arr.to_numpy(zero_copy_only=False), dtype=object)
-    lo = pd.util.hash_array(vals, categorize=False) >> np.uint64(1)
-    hi = pd.util.hash_array(vals, hash_key="ertransfer128key", categorize=False) >> np.uint64(1)
-    if key_mask is not None:
-        hi = hi & np.uint64(key_mask[0] & ((1 << 64) - 1))
-        lo = lo & np.uint64(key_mask[1] & ((1 << 64) - 1))
-    return hi.astype(np.int64), lo.astype(np.int64)
-
-
-def _min_pair(df: pd.DataFrame, key: tuple[str, str], val: tuple[str, str]) -> pd.DataFrame:
-    """Per composite ``key`` pair, the lexicographically smallest ``val``
-    pair — ONE stable sort + groupby-first, fully vectorized (the pandas
-    analog of groupby-min for a 128-bit value carried as two int64s)."""
-    d = df[[*key, *val]].sort_values(list(val), kind="stable")
-    return d.groupby(list(key), sort=False, as_index=False).first()
-
-
-def _lookup_pair(req: pd.DataFrame, lab: pd.DataFrame,
-                 key: tuple[str, str], val: tuple[str, str]):
-    """Exact pair-keyed lookup with key-pair default: positions via a
-    MultiIndex get_indexer (pure int64 — NEVER a pandas left-merge, whose
-    NaN-introducing path converts int64 hash columns to float64 and
-    silently corrupts keys above 2^53), values gathered by position.
-    Returns (hi, lo) numpy arrays aligned to ``req`` rows."""
-    if len(lab) == 0:
-        return req[key[0]].to_numpy(), req[key[1]].to_numpy()
-    idx = pd.MultiIndex.from_arrays([lab[key[0]], lab[key[1]]]).get_indexer(
-        pd.MultiIndex.from_arrays([req[key[0]], req[key[1]]])
-    )
-    hit = idx >= 0
-    vh = np.where(hit, lab[val[0]].to_numpy()[idx], req[key[0]].to_numpy())
-    vl = np.where(hit, lab[val[1]].to_numpy()[idx], req[key[1]].to_numpy())
-    return vh, vl
-
-
-def _connected_components_wide(edges, max_rounds: int, key_mask=None):
-    """The ``key_bits=128`` arm of :func:`connected_components`: identical
-    round structure (propagate → min-combine → pointer-double → edge
-    contraction, checksum early-exit) with node keys carried as TWO int64
-    columns (hi, lo) through the SAME exchanges.
-
-    Exchange co-location keys on the ``hi`` word alone — equal pairs share
-    ``hi``, so all rows of a key land in one bucket regardless of ``lo`` —
-    while every in-bucket kernel groups/mins on the full (hi, lo) pair
-    (``_min_pair``: one stable sort + groupby-first; lookups are pair-keyed
-    merges). Shuffle volume doubles (16-byte keys), kernel shape is
-    unchanged; use past ~10^10 nodes per the 64-bit collision bound
-    documented on the default path.
-    """
-    import ray.data as rd
-
-    from .groupby import exchange_group_apply
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        lh, ll = _hash128(t.column("left_url").combine_chunks(), key_mask)
-        rh, rl = _hash128(t.column("right_url").combine_chunks(), key_mask)
-        n = t.num_rows
-        return pa.table(
-            {
-                "nh": pa.array(np.concatenate([lh, rh])),
-                "nl": pa.array(np.concatenate([ll, rl])),
-                "vh": pa.array(np.concatenate([rh, lh])),
-                "vl": pa.array(np.concatenate([rl, ll])),
-                "is_label": pa.array(np.zeros(2 * n, dtype=np.int8)),
-            }
-        )
-
-    edges_bi = edges.map_batches(edge_rows, batch_format="pyarrow").materialize()
-
-    def url_rows(t: pa.Table) -> pa.Table:
-        l = t.column("left_url").combine_chunks()
-        r = t.column("right_url").combine_chunks()
-        lh, ll = _hash128(l, key_mask)
-        rh, rl = _hash128(r, key_mask)
-        df = pd.DataFrame(
-            {
-                "nh": np.concatenate([lh, rh]),
-                "nl": np.concatenate([ll, rl]),
-                "url": pa.concat_arrays([l, r]).to_pandas(),
-            }
-        ).drop_duplicates(["nh", "nl"])
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    url_map = edges.map_batches(url_rows, batch_format="pyarrow").materialize()
-
-    labels = edges_bi.map_batches(
-        lambda t: pa.table(
-            {
-                "nh": t.column("nh"),
-                "nl": t.column("nl"),
-                "vh": t.column("nh"),
-                "vl": t.column("nl"),
-                "is_label": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def propagate(df: pd.DataFrame) -> pd.DataFrame:
-        comp = _min_pair(df[df["is_label"] == 1], ("nh", "nl"), ("vh", "vl"))
-        e = df[df["is_label"] == 0]
-        ch, cl = _lookup_pair(e, comp, ("nh", "nl"), ("vh", "vl"))
-        out = pd.concat(
-            [
-                comp,
-                pd.DataFrame(
-                    {
-                        "nh": e["vh"].to_numpy(), "nl": e["vl"].to_numpy(),
-                        "vh": ch, "vl": cl,
-                    }
-                ),
-            ],
-            ignore_index=True,
-        )
-        out["is_label"] = np.ones(len(out), dtype=np.int8)
-        return out
-
-    def dedup_min(df: pd.DataFrame) -> pd.DataFrame:
-        out = _min_pair(df, ("nh", "nl"), ("vh", "vl"))
-        out["is_label"] = np.ones(len(out), dtype=np.int8)
-        return out
-
-    def pointer_double(labels_ds):
-        def tag(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            nh, nl = t.column("nh").combine_chunks(), t.column("nl").combine_chunks()
-            vh, vl = t.column("vh").combine_chunks(), t.column("vl").combine_chunks()
-            return pa.table(
-                {
-                    "kh": pa.concat_arrays([vh, nh]),
-                    "kl": pa.concat_arrays([vl, nl]),
-                    "oh": pa.concat_arrays([nh, vh]),
-                    "ol": pa.concat_arrays([nl, vl]),
-                    "role": pa.array(
-                        np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)])
-                    ),
-                }
-            )
-
-        tagged = labels_ds.map_batches(tag, batch_format="pyarrow")
-
-        def resolve(df: pd.DataFrame) -> pd.DataFrame:
-            lab = _min_pair(df[df["role"] == 1], ("kh", "kl"), ("oh", "ol"))
-            req = df[df["role"] == 0]
-            lh, ll = _lookup_pair(req, lab, ("kh", "kl"), ("oh", "ol"))
-            return pd.DataFrame(
-                {
-                    "nh": req["oh"].to_numpy(), "nl": req["ol"].to_numpy(),
-                    "vh": lh, "vl": ll,
-                    "is_label": np.ones(len(req), dtype=np.int8),
-                }
-            )
-
-        return exchange_group_apply(tagged, "kh", resolve)
-
-    def relabel_edges(edges_ds, labels_ds):
-        def sub(endpoint: str):
-            def fn(t: pa.Table) -> pa.Table:
-                k, o = (("nh", "nl"), ("vh", "vl")) if endpoint == "node" else (("vh", "vl"), ("nh", "nl"))
-                return pa.table(
-                    {
-                        "kh": t.column(k[0]), "kl": t.column(k[1]),
-                        "oh": t.column(o[0]), "ol": t.column(o[1]),
-                        "role": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                )
-
-            return fn
-
-        def lab_rows(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "kh": t.column("nh"), "kl": t.column("nl"),
-                    "oh": t.column("vh"), "ol": t.column("vl"),
-                    "role": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                }
-            )
-
-        def rewrite(out_first: str):
-            def fn(df: pd.DataFrame) -> pd.DataFrame:
-                lab = _min_pair(df[df["role"] == 1], ("kh", "kl"), ("oh", "ol"))
-                e = df[df["role"] == 0]
-                lh, ll = _lookup_pair(e, lab, ("kh", "kl"), ("oh", "ol"))
-                out = pd.DataFrame(
-                    {
-                        "nh": lh, "nl": ll,
-                        "vh": e["oh"].to_numpy(), "vl": e["ol"].to_numpy(),
-                    }
-                )
-                if out_first == "val":
-                    out = out.rename(
-                        columns={"nh": "vh", "nl": "vl", "vh": "nh", "vl": "nl"}
-                    )
-                    # re-emit both orientations (same rationale as the 64-bit
-                    # path: one-way min flow can stabilize a split component)
-                    out = pd.concat(
-                        [out, out.rename(
-                            columns={"nh": "vh", "nl": "vl", "vh": "nh", "vl": "nl"}
-                        )],
-                        ignore_index=True,
-                    )
-                out = out[
-                    ~((out["nh"] == out["vh"]) & (out["nl"] == out["vl"]))
-                ].drop_duplicates()
-                out["is_label"] = np.zeros(len(out), dtype=np.int8)
-                return out[["nh", "nl", "vh", "vl", "is_label"]]
-
-            return fn
-
-        lab = labels_ds.map_batches(lab_rows, batch_format="pyarrow")
-        step1 = exchange_group_apply(
-            edges_ds.map_batches(sub("node"), batch_format="pyarrow").union(lab),
-            "kh", rewrite("node"),
-        )
-        step2 = exchange_group_apply(
-            step1.map_batches(sub("val"), batch_format="pyarrow").union(lab),
-            "kh", rewrite("val"),
-        )
-        return step2
-
-    PHI = np.uint64(0x9E3779B97F4A7C15)
-
-    def mixed(t: pa.Table) -> pa.Table:
-        nh = t.column("nh").to_numpy(zero_copy_only=False).astype(np.uint64)
-        nl = t.column("nl").to_numpy(zero_copy_only=False).astype(np.uint64)
-        vh = t.column("vh").to_numpy(zero_copy_only=False).astype(np.uint64)
-        vl = t.column("vl").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table(
-            {
-                "node": pa.array((nh * PHI + nl).astype(np.int64)),
-                "comp": pa.array((vh * PHI + vl).astype(np.int64)),
-            }
-        )
-
-    prev = None
-    converged = False
-    for _ in range(max_rounds):
-        msgs = exchange_group_apply(edges_bi.union(labels), "nh", propagate)
-        base = exchange_group_apply(msgs, "nh", dedup_min)
-        labels = pointer_double(base).materialize()
-        cur = _checksum(labels.map_batches(mixed, batch_format="pyarrow"))
-        if cur == prev:
-            converged = True
-            break
-        prev = cur
-        edges_bi = relabel_edges(edges_bi, labels).materialize()
-    if not converged:
-        import warnings
-
-        warnings.warn(
-            f"connected_components(key_bits=128): no fixpoint after "
-            f"{max_rounds} rounds — labels may split wide components; raise "
-            "max_rounds",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    def tag_label(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "kh": t.column("nh"), "kl": t.column("nl"),
-                "ch": t.column("vh"), "cl": t.column("vl"),
-                "url": pa.array([None] * t.num_rows, pa.string()),
-                "role": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def tag_url(t: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(t.num_rows, dtype=np.int64))
-        return pa.table(
-            {
-                "kh": t.column("nh"), "kl": t.column("nl"),
-                "ch": z, "cl": z,
-                "url": t.column("url"),
-                "role": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    tagged = labels.map_batches(tag_label, batch_format="pyarrow").union(
-        url_map.map_batches(tag_url, batch_format="pyarrow")
-    )
-
-    def attach_urls(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["role"] == 0][["kh", "kl", "ch", "cl"]]
-        um = df[df["role"] == 1].drop_duplicates(["kh", "kl"])[["kh", "kl", "url"]]
-        return lab.merge(um, on=["kh", "kl"], how="inner")[["ch", "cl", "url"]]
-
-    members = exchange_group_apply(tagged, "kh", attach_urls)
-
-    def name_cluster(df: pd.DataFrame) -> pd.DataFrame:
-        m = (
-            df.sort_values("url", kind="stable")
-            .groupby(["ch", "cl"], sort=False, as_index=False)
-            .first()
-            .rename(columns={"url": "cluster_id"})
-        )
-        out = df.merge(m, on=["ch", "cl"], how="left")
-        return out[["url", "cluster_id"]]
-
-    return exchange_group_apply(members, "ch", name_cluster)
+    return exchange_group_apply(members, V[0], name_cluster)
 
 
 def clusters_to_pair_set(assignments_df: pd.DataFrame) -> set:

@@ -631,6 +631,12 @@ def exact_dedup_incremental(
     staged = tmp_parent + f"/increment={increment}.staging/shard=0"
     import shutil
 
+    # a re-ingest drops the increment's old sidecar BEFORE replacing its
+    # hashes: a crash after the rename must leave no sidecar (which
+    # _store_bloom self-heals), never a stale one that misses new hashes
+    side = os.path.join(state_dir, "bloom_sidecars", f"increment={increment}.parquet")
+    if os.path.exists(side):
+        os.remove(side)
     if os.path.exists(inc_dir):
         shutil.rmtree(inc_dir)
     os.rename(staged, inc_dir)

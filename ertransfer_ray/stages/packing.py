@@ -35,12 +35,21 @@ import re
 import numpy as np
 import pyarrow as pa
 
-#: pass-2 tokenizer matching token_count_batch's Arrow RE2 '\s+' exactly:
-#: RE2 \s is ASCII [ \t\n\f\r\v], so the Python side must use re.ASCII
-#: — plain str.split() also splits exotic Unicode whitespace (U+00A0,
-#: U+2003...) and would desynchronize pass-2 fragments from the pass-1
-#: block offsets (and from the SQL oracles, which use RE2 too)
+#: The packing token: a run of non-ASCII-whitespace, the SQL oracles' RE2
+#: '\s+' split. Both passes count with it — pass 1 in Arrow
+#: (_token_counts), pass 2 in Python with re.ASCII — since Unicode-aware
+#: trims and str.split() also split exotic whitespace (U+00A0, U+2003...)
+#: and would desynchronize pass-2 fragments from the pass-1 block offsets
 _ASCII_TOKEN = re.compile(r"[^ \t\n\f\r\v]+", re.ASCII)
+
+
+def _token_counts(texts: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Pass-1 token count per text: the number of _ASCII_TOKEN runs (a
+    doc made only of U+00A0 is one token, as in pass 2); null counts 0."""
+    import pyarrow.compute as pc
+
+    n = pc.count_substring_regex(texts, _ASCII_TOKEN.pattern)
+    return pc.fill_null(n, 0).to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def _block_offsets(ordered, block_total, id_col: str):
@@ -86,11 +95,8 @@ def pack_sequences(
     """Dataset of (id_col, token_count, start_pos, seq_first, seq_last),
     the concat-and-chunk packing layout at ``seq_len`` tokens per
     sequence. ``token_col`` supplies precomputed counts; otherwise
-    whitespace counts of ``text_col`` (the corpus-wide convention,
-    functions/textstats.token_count_batch)."""
+    ASCII-whitespace token counts of ``text_col`` (_ASCII_TOKEN)."""
     import ray
-
-    from ..functions.textstats import token_count_batch
 
     if seq_len <= 0:
         raise ValueError(f"seq_len must be positive, got {seq_len}")
@@ -98,7 +104,7 @@ def pack_sequences(
     def counts_of(t: pa.Table) -> np.ndarray:
         if token_col is not None:
             return t.column(token_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return token_count_batch(t.column(text_col)).to_numpy(zero_copy_only=False).astype(np.int64)
+        return _token_counts(t.column(text_col))
 
     cols = [id_col] + ([token_col] if token_col else [text_col])
     ordered = ds.select_columns(cols).sort(id_col).materialize()
@@ -163,21 +169,14 @@ def packed_sequences(
     tokenizer stage's job)."""
     from .groupby import exchange_group_apply
 
-    # re-run the scan inline to get (start_pos) alongside the text
-    from ..functions.textstats import token_count_batch
-
     if seq_len <= 0:
         raise ValueError(f"seq_len must be positive, got {seq_len}")
     import ray
 
     ordered = ds.select_columns([id_col, text_col]).sort(id_col).materialize()
 
-    ref = _block_offsets(
-        ordered,
-        lambda t: token_count_batch(t.column(text_col))
-        .to_numpy(zero_copy_only=False).sum(),
-        id_col,
-    )
+    # re-run the scan inline to get (start_pos) alongside the text
+    ref = _block_offsets(ordered, lambda t: _token_counts(t.column(text_col)).sum(), id_col)
 
     def fragments(t: pa.Table) -> pa.Table:
         """Per-chunk fragments: (seq_id, pos, frag) — frag is the doc's
@@ -201,9 +200,9 @@ def packed_sequences(
         rows_seq, rows_pos, rows_frag = [], [], []
         pos = base
         for txt in texts:
-            # MUST match token_count_batch's ASCII-\s+ convention — a
-            # plain .split() would count Unicode whitespace differently
-            # and desynchronize from the pass-1 offsets
+            # MUST match _token_counts — a plain .split() would count
+            # Unicode whitespace differently and desynchronize from the
+            # pass-1 offsets
             toks = _ASCII_TOKEN.findall((txt or "").lower())
             i = 0
             while i < len(toks):

@@ -138,3 +138,40 @@ def test_cc_empty():
 def test_clusters_to_pair_set():
     df = pd.DataFrame({"url": ["a", "b", "c", "x"], "cluster_id": [1, 1, 1, 2]})
     assert clusters_to_pair_set(df) == {("a", "b"), ("a", "c"), ("b", "c")}
+
+
+def test_key_width_rule_at_the_one_word_limit():
+    """One word up to 2**22 nodes (collision odds n²/2^64 ≤ 2^-20), two
+    words from one node above; the caller bounds nodes by 2 × edges."""
+    from ertransfer_ray.stages.clustering import ONE_WORD_MAX_NODES, _key_words
+
+    assert ONE_WORD_MAX_NODES == 2**22
+    assert _key_words(2**22) == 1
+    assert _key_words(2**22 + 1) == 2
+    assert _key_words(2 * 2**21) == 1
+    assert _key_words(2 * (2**21 + 1)) == 2
+
+
+def test_cc_reads_its_input_once(tmp_path):
+    """A lazy upstream (run_er's attach + score chain) must run once, on
+    the driver path and on the distributed path: every batch the upstream
+    emits appends its row count to a file, and the total must equal the
+    edge count."""
+    edges = pd.DataFrame(
+        {
+            "left_url": [f"a{i:03d}" for i in range(30)],
+            "right_url": [f"b{i % 7:03d}" for i in range(30)],
+        }
+    )
+    for name, threshold in [("driver", 1_000), ("distributed", 0)]:
+        log = tmp_path / f"{name}.log"
+
+        def counted(t: pa.Table, log=log) -> pa.Table:
+            with open(log, "a") as f:
+                f.write(f"{t.num_rows}\n")
+            return t
+
+        lazy = rd.from_pandas(edges).map_batches(counted, batch_format="pyarrow")
+        connected_components(lazy, driver_threshold=threshold).to_pandas()
+        rows = [int(x) for x in log.read_text().split()]
+        assert sum(rows) == len(edges), (name, rows)

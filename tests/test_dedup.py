@@ -1,5 +1,6 @@
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from ertransfer_ray.stages.dedup import (
@@ -385,6 +386,47 @@ def test_exact_dedup_incremental_bloom_self_heals_missing_sidecar(tmp_path):
     # the missing day1 sidecar was healed and persisted during the load
     assert os.path.exists(f"{state}/bloom_sidecars/increment=day1.parquet")
     assert os.path.exists(f"{state}/bloom_sidecars/increment=day2.parquet")
+
+
+def test_exact_dedup_incremental_bloom_reingest_crash_leaves_no_stale_sidecar(
+    tmp_path, monkeypatch
+):
+    """Fault injection: re-ingesting an increment under a new content set
+    crashes between the rename and the sidecar write. The increment's old
+    sidecar must already be gone, so the next ingest rebuilds it from the
+    new hashes instead of trusting a filter that misses them."""
+    import os
+
+    import pandas as pd
+    import ray.data as rd
+
+    from ertransfer_ray.stages import dedup
+    from ertransfer_ray.stages.dedup import exact_dedup_incremental
+
+    state = str(tmp_path / "state")
+    side = f"{state}/bloom_sidecars/increment=day2.parquet"
+
+    def ingest(increment, ids, texts):
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts}))
+        return exact_dedup_incremental(ds, state, increment, seen_filter="bloom").to_pandas()
+
+    ingest("day1", [1], ["alpha"])
+    ingest("day2", [2], ["beta"])
+    assert os.path.exists(side)
+
+    def crash(state_dir, increment_dir, cfg):
+        raise RuntimeError("killed before the sidecar write")
+
+    monkeypatch.setattr(dedup, "_write_sidecar", crash)
+    with pytest.raises(RuntimeError, match="killed"):
+        ingest("day2", [3], ["gamma"])  # day2 now holds gamma, not beta
+    monkeypatch.undo()
+    assert not os.path.exists(side)
+
+    out = ingest("day3", [10, 11, 12], ["gamma", "beta", "new"])
+    # gamma is in the store (day2); beta left it with the re-ingest
+    assert sorted(out["doc_id"]) == [11, 12]
+    assert os.path.exists(side)
 
 
 def test_exact_dedup_incremental_bloom_zero_suspicious_and_sloppy_filter(tmp_path):

@@ -59,20 +59,23 @@ def test_pipeline_outputs_are_lazy_datasets(pages_corpus):
     assert set(schema.names) == {"left_url", "right_url", "prob"}
 
 
-def test_flagship_identical_under_64_and_128_bit_cc_keys(pages_corpus):
-    """ERConfig.cc_key_bits threads through run_er: the flagship's cluster
-    assignment is byte-identical whether CC runs on 64-bit or 128-bit hashed
-    node keys (cc_driver_threshold=0 forces the DISTRIBUTED path both times —
-    the driver union-find would never consult key_bits)."""
+def test_flagship_identical_under_64_and_128_bit_cc_keys(pages_corpus, monkeypatch):
+    """The flagship's cluster assignment is byte-identical whether CC keys
+    nodes with one 64-bit word or two (128 bits) — cc_driver_threshold=0
+    forces the DISTRIBUTED path both times, and lowering the one-word node
+    limit forces the two-word keys."""
+    from ertransfer_ray.stages import clustering
+
     pages = rd.from_arrow(pages_corpus["pages"])
     outs = {}
-    for bits in (64, 128):
-        res = run_er(pages, ERConfig(cc_driver_threshold=0, cc_key_bits=bits))
-        outs[bits] = (
+    for words, limit in ((1, clustering.ONE_WORD_MAX_NODES), (2, 0)):
+        monkeypatch.setattr(clustering, "ONE_WORD_MAX_NODES", limit)
+        res = run_er(pages, ERConfig(cc_driver_threshold=0))
+        outs[words] = (
             res["clusters"].to_pandas()
             .sort_values(["url", "cluster_id"], ignore_index=True)
         )
-    pd.testing.assert_frame_equal(outs[64], outs[128])
+    pd.testing.assert_frame_equal(outs[1], outs[2])
 
 
 def test_run_er_empty_corpus(ray_session):

@@ -165,3 +165,26 @@ def test_packed_sequences_unicode_whitespace_convention():
     assert [list(x) for x in got["tokens"]] == [
         ["a b", "c", "d", "e"], ["f", "g", "h"],
     ]
+
+
+def test_unicode_whitespace_only_docs_count_one_token_in_both_passes():
+    """A doc made only of U+00A0 or U+2003 is one token (a run of
+    non-ASCII-whitespace) in the pass-1 counts AND in the pass-2
+    fragments, so later docs keep their stream positions."""
+    from ertransfer_ray.stages.packing import pack_sequences, packed_sequences
+
+    texts = {1: "a b", 2: "\u00a0", 3: "\u2003\u2003", 4: "c d e"}
+    scan = (
+        pack_sequences(_ds(texts, 4), seq_len=4)
+        .to_pandas().sort_values("doc_id", ignore_index=True)
+    )
+    assert list(scan["token_count"]) == [2, 1, 1, 3]
+    assert list(scan["start_pos"]) == [0, 2, 3, 4]
+    got = (
+        packed_sequences(_ds(texts, 4), seq_len=4)
+        .to_pandas().sort_values("seq_id", ignore_index=True)
+    )
+    assert [list(x) for x in got["tokens"]] == [
+        ["a", "b", "\u00a0", "\u2003\u2003"], ["c", "d", "e"],
+    ]
+    assert list(got["n_tokens"]) == [4, 3]

@@ -5,23 +5,38 @@ contraction rework has to get right), and the shared count pass must agree
 with a pandas value_counts oracle."""
 
 import pandas as pd
+import pytest
 import ray.data as rd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ertransfer_ray.stages import clustering
 from ertransfer_ray.stages.clustering import connected_components
 from ertransfer_ray.stages.groupby import counted_key_survivors
 
 _EDGE = st.tuples(st.integers(0, 23), st.integers(0, 23))
 
 
+@pytest.fixture(params=[1, 2], ids=["one_word", "two_words"])
+def key_words(request, monkeypatch):
+    """Node-key width of the distributed path: two words are forced by
+    lowering the one-word node limit below any test graph."""
+    if request.param == 2:
+        monkeypatch.setattr(clustering, "ONE_WORD_MAX_NODES", 0)
+    return request.param
+
+
 @settings(
     max_examples=10,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.data_too_large,
+        HealthCheck.function_scoped_fixture,
+    ],
 )
 @given(st.lists(_EDGE, min_size=1, max_size=50))
-def test_cc_distributed_matches_driver_union_find(pairs):
+def test_cc_distributed_matches_driver_union_find(key_words, pairs):
     edges = pd.DataFrame(
         [(f"n{a:02d}", f"n{b:02d}") for a, b in pairs],
         columns=["left_url", "right_url"],
@@ -56,36 +71,10 @@ def test_counted_survivors_match_value_counts(keys, max_count):
     assert sorted(got.to_pylist()) == want
 
 
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(st.lists(_EDGE, min_size=1, max_size=40))
-def test_cc_128bit_matches_driver_union_find(pairs):
-    """key_bits=128 distributed path vs the driver union-find oracle."""
-    edges = pd.DataFrame(
-        [(f"n{a:02d}", f"n{b:02d}") for a, b in pairs],
-        columns=["left_url", "right_url"],
-    )
-    wide = (
-        connected_components(rd.from_pandas(edges), driver_threshold=0,
-                             key_bits=128)
-        .to_pandas()
-        .sort_values("url", ignore_index=True)
-    )
-    drv = (
-        connected_components(rd.from_pandas(edges))
-        .to_pandas()
-        .sort_values("url", ignore_index=True)
-    )
-    pd.testing.assert_frame_equal(wide, drv)
-
-
-def test_cc_128bit_survives_forced_single_word_collisions():
-    """THE reason the wide path exists: mask one 64-bit word to a handful of
-    bits (forced collisions in that word — the fixture the 64-bit bound
-    warns about) and the (hi, lo) pair must still separate components.
+def test_cc_128bit_survives_forced_single_word_collisions(monkeypatch):
+    """THE reason two-word keys exist: mask one 64-bit word to a handful of
+    bits (forced collisions in that word — the fixture the one-word bound
+    warns about) and the word pair must still separate components.
     An implementation keying on either word alone over-merges and fails."""
     # 40 disjoint 2-node components; any cross-component merge is detectable
     edges = pd.DataFrame(
@@ -99,13 +88,15 @@ def test_cc_128bit_survives_forced_single_word_collisions():
         .to_pandas()
         .sort_values("url", ignore_index=True)
     )
-    for mask in [(0x7, -1), (-1, 0x7)]:  # hi degenerate, then lo degenerate
+    monkeypatch.setattr(clustering, "ONE_WORD_MAX_NODES", 0)
+    # first word degenerate (it also picks the exchange bucket), then second
+    for mask in [(0x7, -1), (-1, 0x7)]:
         got = (
             connected_components(
-                rd.from_pandas(edges), driver_threshold=0, key_bits=128,
-                _key_mask=mask,
+                rd.from_pandas(edges), driver_threshold=0, _key_mask=mask,
             )
             .to_pandas()
             .sort_values("url", ignore_index=True)
         )
         pd.testing.assert_frame_equal(got, want)
+

@@ -364,3 +364,17 @@ def test_simhash_neardup_matches_sql_oracle(ray_session):
         eng, ora.astype({c: eng[c].dtype for c in eng.columns}),
         check_like=True,
     )
+
+
+@needs_testdata
+@pytest.mark.parametrize("name", ["doc_pack_sequences", "doc_packed_sequences"])
+def test_packing_oracles_return_engine_int64(name, ray_session):
+    """The packing oracles cast their windowed SUM and ``//`` outputs to
+    BIGINT: left to DuckDB those come back HUGEINT, which the driver's
+    value hash sees as a different dtype from the engine's int64."""
+    eng = build_queries()[name](SF).reset_index(drop=True)
+    sql = _oracle(name).reset_index(drop=True)
+    int64_cols = [c for c in eng.columns if eng[c].dtype == np.int64]
+    assert int64_cols
+    assert {c: str(sql[c].dtype) for c in int64_cols} == {c: "int64" for c in int64_cols}
+    pd.testing.assert_frame_equal(eng, sql[list(eng.columns)])
