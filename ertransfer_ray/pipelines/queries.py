@@ -3131,9 +3131,8 @@ ORACLE_SQL["doc_temperature_mixture"] = """
 ORACLE_SQL["doc_pack_sequences"] = """
     WITH tc AS (
         SELECT doc_id,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-               END AS token_count
+               len(list_filter(regexp_split_to_array(text, '\\s+'),
+                               x -> x <> '')) AS token_count
         FROM documents
     ), s AS (
         SELECT doc_id, token_count,

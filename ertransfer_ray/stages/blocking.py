@@ -43,7 +43,7 @@ from ..functions.hashing import (
     word_shingles,
 )
 from ..functions.simfuncs import qgrams
-from .groupby import bucketed_group_apply
+from .groupby import exchange_group_apply
 
 
 class BlockKeyEmitter:
@@ -238,11 +238,9 @@ def generate_pairs(
     re-buckets on the pair key and
     keeps one row per pair via a vectorized ``drop_duplicates`` (reference D1
     exact dedup, /root/reference/splitters/random-split/merger.py:34). Both
-    shuffles use the bucketed pattern (see groupby.py for why).
+    shuffles are hash exchanges (see groupby.py for why).
     """
     import ray
-
-    from .groupby import exchange_group_apply
 
     if prefilter_singletons == "auto" or prefilter_singletons:
         # consumed twice (count pass + filtered exchange): pin the keyed
@@ -277,7 +275,7 @@ def generate_pairs(
     )
     if not dedup:
         return pairs
-    return bucketed_group_apply(
+    return exchange_group_apply(
         pairs,
         ["left_url", "right_url"],
         lambda df: df.sort_values("truncated").drop_duplicates(["left_url", "right_url"]),

@@ -541,17 +541,16 @@ def connected_components(
     members = exchange_group_apply(tagged, N[0], attach_urls)
 
     # Exchange 2 (key = component): all members co-located → min url
-    # names the cluster for every member in one pass.
-    def name_cluster(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.groupby(list(V), sort=False)["url"].min()
-        return pd.DataFrame(
-            {
-                "url": df["url"].to_numpy(),
-                "cluster_id": m.to_numpy()[m.index.get_indexer(_index(df, V))],
-            }
+    # names the cluster for every member in one pass. Arrow's hash min on
+    # the url strings: pandas' object-string groupby-min runs in Python.
+    def name_cluster(t: pa.Table) -> pa.Table:
+        m = t.group_by(list(V)).aggregate([("url", "min")])
+        pos = _index(m.select(list(V)).to_pandas(), V).get_indexer(
+            _index(t.select(list(V)).to_pandas(), V)
         )
+        return pa.table({"url": t.column("url"), "cluster_id": m.column("url_min").take(pos)})
 
-    return exchange_group_apply(members, V[0], name_cluster)
+    return exchange_group_apply(members, V[0], name_cluster, fn_format="pyarrow")
 
 
 def clusters_to_pair_set(assignments_df: pd.DataFrame) -> set:

@@ -25,6 +25,12 @@ Per-group Python overhead is paid P times instead of |keys| times. Skewed
 keys still land whole in one bucket — callers with known-hot keys salt them
 first (see blocking.py).
 
+How many buckets. An explicit ``num_buckets`` is always used as given;
+otherwise :func:`default_num_buckets`, two per CPU. Every bucket costs a
+task pair and ``blocks`` object refs whatever it holds, so the count has no
+floor beyond the CPUs: on one CPU a few thousand key rows run as two
+buckets.
+
 For small-result aggregations there's an even cheaper path with NO shuffle:
 per-batch pandas partial aggregates → combine on the driver
 (``partial_aggregate``). Use it whenever |keys| is bounded (metrics, stats,
@@ -65,12 +71,12 @@ def _group_refs(block_refs: list, num_buckets: int) -> list[list]:
 
 
 def default_num_buckets() -> int:
-    """Bucket count sized to the cluster: ~2 buckets per CPU so every core
-    has grouped work, floor of 16."""
+    """Bucket count sized to the cluster: 2 buckets per CPU so every core
+    has grouped work."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(16, 2 * cpus)
+    return max(1, 2 * cpus)
 
 
 def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarray:

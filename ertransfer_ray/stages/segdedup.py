@@ -47,7 +47,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import stable_hash64
-from .groupby import default_num_buckets, exchange_group_apply, grouped_aggregate
+from .groupby import exchange_group_apply, grouped_aggregate
 
 
 def _within_run_arange(lens: np.ndarray) -> np.ndarray:

@@ -78,6 +78,19 @@ def test_flagship_identical_under_64_and_128_bit_cc_keys(pages_corpus, monkeypat
     pd.testing.assert_frame_equal(outs[1], outs[2])
 
 
+def test_flagship_identical_at_pinned_and_default_bucket_counts(pages_corpus):
+    """``run_er`` clusters are identical whether every exchange runs the
+    pinned 16 buckets or the default two per CPU."""
+    pages = rd.from_arrow(pages_corpus["pages"])
+    outs = [
+        run_er(pages, ERConfig(num_buckets=nb))["clusters"].to_pandas()
+        .sort_values(["url", "cluster_id"], ignore_index=True)
+        for nb in (16, None)
+    ]
+    assert len(outs[0]) > 0
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
 def test_run_er_empty_corpus(ray_session):
     """Round 5: an empty corpus returns typed empty stage outputs instead
     of a schema-less KeyError inside attach_pair_payloads."""

@@ -378,3 +378,41 @@ def test_packing_oracles_return_engine_int64(name, ray_session):
     assert int64_cols
     assert {c: str(sql[c].dtype) for c in int64_cols} == {c: "int64" for c in int64_cols}
     pd.testing.assert_frame_equal(eng, sql[list(eng.columns)])
+
+
+def test_pack_sequences_oracle_drops_empty_edge_tokens():
+    """The ``doc_pack_sequences`` oracle counts tokens like the engine and
+    the ``doc_packed_sequences`` oracle: split on ``\\s+`` and drop the empty
+    parts. DuckDB's ``trim`` strips only spaces, so trim + split counted a
+    leading tab and a trailing newline as two extra empty tokens."""
+    con = duckdb.connect()
+    con.register("documents", pd.DataFrame(
+        {"doc_id": [1, 2, 3, 4], "text": ["\tfoo bar\n", "", " \n ", "a  b c"]}
+    ))
+    out = con.execute(ORACLE_SQL["doc_pack_sequences"]).fetchdf()
+    assert out["token_count"].tolist() == [2, 0, 0, 3]
+    assert out["start_pos"].tolist() == [0, 2, 2, 2]
+
+
+def test_check_oracles_flags_int_engine_against_float_oracle():
+    """The local gate compares dtype classes before ``canon`` casts within
+    them: an int64 engine column against a float64 oracle column (DuckDB's
+    HUGEINT comes back float64) is a mismatch even when the values agree."""
+    from tools.check_oracles import compare
+
+    eng = pd.DataFrame({"n": np.array([1, 2], dtype=np.int64), "s": ["a", None]})
+    problems = compare("q", eng, eng.astype({"n": np.float64}))
+    assert problems == ["dtype kind differs in 'n': ray=int (int64) sql=float (float64)"]
+    # within a class the widths may differ, as DuckDB's INTEGER does
+    assert compare("q", eng, eng.astype({"n": np.int32})) == []
+    # object columns are classed by their values: Python ints are int,
+    # Python floats are float
+    as_obj = eng.assign(n=pd.Series([1, 2], dtype=object))
+    assert compare("q", as_obj, eng) == []
+    assert compare("q", eng.assign(n=pd.Series([1.0, 2.0], dtype=object)),
+                   eng.astype({"n": np.float64})) == []
+    assert compare("q", as_obj, eng.astype({"n": np.float64})) == [
+        "dtype kind differs in 'n': ray=int (object) sql=float (float64)"]
+    # an all-null column matches any class
+    nans = pd.DataFrame({"n": [np.nan, np.nan], "s": ["a", None]})
+    assert compare("q", nans, nans.assign(n=pd.Series([None, None], dtype=object))) == []

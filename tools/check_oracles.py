@@ -40,11 +40,41 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), ignore_index=True)
 
 
+#: pandas ``infer_dtype`` names of an object column's values, mapped onto
+#: the classes that ``dtype_kind`` gives typed columns.
+_INFERRED_KIND = {"integer": "int", "floating": "float", "mixed-integer-float": "float",
+                  "string": "string", "boolean": "bool"}
+
+
+def dtype_kind(s: pd.Series) -> str | None:
+    """The dtype class the driver's value hash tells apart: int, float,
+    string or bool. Object columns are classed by their non-null values; other
+    dtypes by their numpy kind. An all-null column has no class (None) and
+    matches any. ``canon`` casts within a class, so this is checked before
+    it."""
+    if s.isna().all():
+        return None
+    if pd.api.types.is_bool_dtype(s):
+        return "bool"
+    if pd.api.types.is_integer_dtype(s):
+        return "int"
+    if pd.api.types.is_float_dtype(s):
+        return "float"
+    if s.dtype == object or pd.api.types.is_string_dtype(s):
+        kind = pd.api.types.infer_dtype(s, skipna=True)
+        return _INFERRED_KIND.get(kind, kind)
+    return s.dtype.kind
+
+
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     problems = []
     if sorted(ray_df.columns) != sorted(sql_df.columns):
         problems.append(f"columns differ: ray={sorted(ray_df.columns)} sql={sorted(sql_df.columns)}")
         return problems
+    for c in sorted(ray_df.columns):
+        rk, sk = dtype_kind(ray_df[c]), dtype_kind(sql_df[c])
+        if rk is not None and sk is not None and rk != sk:
+            problems.append(f"dtype kind differs in '{c}': ray={rk} ({ray_df[c].dtype}) sql={sk} ({sql_df[c].dtype})")
     if len(ray_df) != len(sql_df):
         problems.append(f"row count differs: ray={len(ray_df)} sql={len(sql_df)}")
     a, b = canon(ray_df), canon(sql_df)
