@@ -179,8 +179,6 @@ def run_headline_on(path: str, num_cpus: int) -> dict:
     from ertransfer_ray.sources.pages import documents_as_pages
     from ertransfer_ray.stages.scoring import DOCUMENTS_WEIGHTS
 
-    from ertransfer_ray.stages.scoring import default_pool_size
-
     rd.read_parquet(path).count()  # warm page cache, untimed
     t0 = time.perf_counter()
     pages = documents_as_pages("", path=path)

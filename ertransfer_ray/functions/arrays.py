@@ -76,3 +76,32 @@ def sql_round(a, n: int = 0):
     a = np.asarray(a, dtype=np.float64)
     pw = 10.0 ** n
     return np.copysign(np.floor(np.abs(a) * pw + 0.5), a) / pw
+
+
+def group_pair_index(keys, max_block_size: int, window: int | None = None):
+    """Within-group pair indices over rows sorted by (key, id), duplicate
+    (key, id) rows dropped, in one vectorized pass.
+
+    Row ``a`` of an ``n``-row group pairs with the rows after it: all of
+    them when ``n <= max_block_size``; else the next ``window`` ones, or,
+    with ``window=None``, those among the group's first ``max_block_size``
+    rows (the ``head(cap)`` rule). Pairs come out in each group's
+    ``np.triu_indices`` order, groups in key order. Returns int64 positions
+    ``ii < jj`` and a bool ``truncated`` per pair (its group is over the cap)."""
+    keys = np.asarray(keys)
+    n = len(keys)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    size = np.repeat(sizes, sizes)
+    rank = np.arange(n) - np.repeat(starts, sizes)
+    over = size > max_block_size
+    if window is None:
+        partners = np.maximum(np.minimum(size, max_block_size) - 1 - rank, 0)
+    else:
+        partners = size - 1 - rank
+        partners[over] = np.minimum(partners[over], window)
+    ii = np.repeat(np.arange(n), partners)
+    # each pair's offset past its left row: 1..partners[a], restarted per row
+    first = np.cumsum(partners) - partners
+    jj = ii + 1 + np.arange(len(ii)) - np.repeat(first, partners)
+    return ii, jj, over[ii]

@@ -46,6 +46,7 @@ from ..stages.groupby import (
 )
 from ..stages.joins import BroadcastHashJoin, BroadcastSemiJoin, keys_of, put_broadcast
 from ..stages.knn import brute_force_topk
+from ..stages.scoring import pool_map_batches
 from ..stages.windows import arrow_min_max, sessionize, tumbling_window_agg
 
 
@@ -748,14 +749,13 @@ def q_minhash_neardup_pairs(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     _write_oracle_side(
         "minhash_bands",
-        docs.map_batches(
+        pool_map_batches(
+            docs,
             _ShingleMinHash,
-            fn_constructor_kwargs=dict(
-                id_col="doc_id", text_col="text", num_perm=128, num_bands=16
-            ),
+            dict(id_col="doc_id", text_col="text", num_perm=128, num_bands=16),
+            (1, 4),
             batch_format="pyarrow",
             batch_size=1024,
-            concurrency=(1, 4),
         ),
     )
     out = minhash_lsh_dedup_pairs(docs, jaccard_threshold=0.5).to_pandas()
@@ -775,14 +775,13 @@ def q_doc_neardup_groups(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     _write_oracle_side(
         "minhash_bands_groups",
-        docs.map_batches(
+        pool_map_batches(
+            docs,
             _ShingleMinHash,
-            fn_constructor_kwargs=dict(
-                id_col="doc_id", text_col="text", num_perm=128, num_bands=16
-            ),
+            dict(id_col="doc_id", text_col="text", num_perm=128, num_bands=16),
+            (1, 4),
             batch_format="pyarrow",
             batch_size=1024,
-            concurrency=(1, 4),
         ),
     )
     out = minhash_lsh_dedup(docs, jaccard_threshold=0.5).to_pandas()
@@ -2039,9 +2038,7 @@ ORACLE_SQL: dict[str, str] = {
     """,
     "doc_token_stats": """
         SELECT doc_id, n_chars,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-               END AS token_count
+               len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token_count
         FROM documents ORDER BY doc_id
     """,
     "doc_lang_counts": """
@@ -2111,9 +2108,7 @@ ORACLE_SQL: dict[str, str] = {
         f AS (
             SELECT doc_id,
                    length(text) AS n_chars,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-                   END AS n_tokens,
+                   len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS n_tokens,
                    length(regexp_replace(text, '[^.,;:!?"''()\\[\\]{}]', '', 'g')) AS punct_chars,
                    length(regexp_replace(text, '[^0-9]', '', 'g')) AS digit_chars
             FROM documents
@@ -2138,17 +2133,14 @@ ORACLE_SQL: dict[str, str] = {
         WITH f AS (
             SELECT doc_id,
                    length(text) AS n_chars,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-                   END AS n_tokens,
+                   len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS n_tokens,
                    length(regexp_replace(text, '\\s', '', 'g')) AS word_chars,
                    length(regexp_replace(text, '[^.,;:!?"''()\\[\\]{}]', '', 'g')) AS punct_chars,
                    length(regexp_replace(text, '[^A-Z]', '', 'g')) AS upper_chars,
                    length(regexp_replace(text, '[^0-9]', '', 'g')) AS digit_chars,
-                   CASE WHEN trim(text) = '' THEN 0 ELSE
-                     len(list_filter(regexp_split_to_array(lower(trim(text)), '\\s+'),
-                         x -> x IN ('the','and','of','to','in','is','that','it','for','with')))
-                   END AS stop_hits
+                   len(list_filter(regexp_split_to_array(lower(text), '\\s+'),
+                       x -> x IN ('the','and','of','to','in','is','that','it','for','with')))
+                     AS stop_hits
             FROM documents
         )
         SELECT doc_id, n_chars, n_tokens,
@@ -2381,9 +2373,7 @@ ORACLE_SQL: dict[str, str] = {
     "doc_token_p90_filter": """
         WITH tc AS (
             SELECT doc_id,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-                   END AS token_count
+                   len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token_count
             FROM documents
         )
         SELECT doc_id, token_count FROM tc
@@ -2679,9 +2669,7 @@ ORACLE_SQL["doc_clean_corpus"] = f"""
     WITH lang AS ({ORACLE_SQL["doc_langid"]}),
     tok AS (
         SELECT doc_id,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-               END AS token_count
+               len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token_count
         FROM documents
     ), filtered AS (
         SELECT d.doc_id, d.text
@@ -3008,9 +2996,7 @@ ORACLE_SQL["host_stats"] = f"""
         SELECT doc_id, text, {_HOST_CASE_SQL} AS host FROM documents
     ), tok AS (
         SELECT host,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-               END AS tc
+               len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS tc
         FROM gen
     )
     SELECT host, count(*) AS n_docs,
@@ -3287,9 +3273,7 @@ ORACLE_SQL["doc_pagerank"] = (
 ORACLE_SQL["doc_weighted_sample"] = """
     WITH tc AS (
         SELECT doc_id,
-               CASE WHEN trim(text) = '' THEN 0
-                    ELSE len(regexp_split_to_array(trim(text), '\\s+'))
-               END AS token_count
+               len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token_count
         FROM documents
     )
     SELECT doc_id, token_count FROM tc

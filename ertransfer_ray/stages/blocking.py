@@ -6,7 +6,8 @@ splitters/KNN-Join/settings.py:1-12) as shuffle algebra instead of an
 in-memory token index:
 
     normalize → map_batches emits (block_key, url, payload) rows
-              → groupby(block_key) → per-group bounded pair generation
+              → groupby(block_key) → bounded pair generation, all blocks of
+                a bucket in one vectorized kernel (arrays.group_pair_index)
 
 Keys emitted per document:
 - ``num_bands`` MinHash-LSH band keys over the reference's tokenization
@@ -33,6 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.arrays import group_pair_index
 from ..functions.hashing import (
     arrow_word_shingle_hashes,
     lsh_band_keys_u64,
@@ -144,57 +146,25 @@ def emit_block_keys(norm_ds, batch_size: int = 1024, **emitter_kwargs):
     )
 
 
-_EMPTY_PAIRS = {
-    "left_url": object,
-    "right_url": object,
-}
-
-
 def _pairs_in_bucket(df: pd.DataFrame, max_block_size: int, window: int) -> pd.DataFrame:
     """Pair generation over one hash bucket of (block_key, url, …) rows.
 
     Per block: all-pairs below the cap, sorted-neighbor windowing beyond it.
-    Deterministic: rows sorted by url before pairing; left<right always.
-    The per-block Python loop is fine — blocks are small by construction
-    (the cap bounds them) and the loop body is numpy index generation.
+    Deterministic: rows sorted by url within a block; left<right always.
+    All blocks of the bucket are paired in one vectorized pass
+    (:func:`group_pair_index`), not a Python loop per block: blocks are
+    small, but a 520-page corpus has ~3.5k of them, and the loop took about
+    1 s on one CPU where the kernel takes under 10 ms.
     """
     # singleton keys (the vast majority of LSH band keys) can't form pairs —
-    # drop them vectorized BEFORE the per-key Python loop
+    # drop them before the sort
     df = df[df.duplicated("block_key", keep=False)]
-    frames = []
-    df = df.sort_values(["block_key", "url"])
-    for _, g in df.groupby("block_key", sort=False):
-        g = g.drop_duplicates("url")
-        n = len(g)
-        if n < 2:
-            continue
-        urls = g["url"].to_numpy()
-        truncated = n > max_block_size
-        if truncated:
-            base = np.arange(n - 1)
-            ii = np.repeat(base, window)
-            jj = ii + np.tile(np.arange(1, window + 1), n - 1)
-            keep = jj < n
-            ii, jj = ii[keep], jj[keep]
-        else:
-            ii, jj = np.triu_indices(n, k=1)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "left_url": urls[ii],
-                    "right_url": urls[jj],
-                    "truncated": np.full(len(ii), 1 if truncated else 0, dtype=np.int8),
-                }
-            )
-        )
-    if not frames:
-        return pd.DataFrame(
-            {
-                **{k: pd.Series([], dtype=t) for k, t in _EMPTY_PAIRS.items()},
-                "truncated": pd.Series([], dtype=np.int8),
-            }
-        )
-    return pd.concat(frames, ignore_index=True)
+    df = df.sort_values(["block_key", "url"]).drop_duplicates(["block_key", "url"])
+    ii, jj, truncated = group_pair_index(df["block_key"].to_numpy(), max_block_size, window)
+    urls = df["url"].to_numpy()
+    return pd.DataFrame(
+        {"left_url": urls[ii], "right_url": urls[jj], "truncated": truncated.astype(np.int8)}
+    )
 
 
 def _surviving_block_keys(keyed_ds, num_buckets, cap: int):

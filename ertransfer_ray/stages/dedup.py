@@ -55,7 +55,7 @@ from ..functions.hashing import (
     simhash64,
     stable_hash64,
 )
-from ..functions.arrays import list_column_to_matrix
+from ..functions.arrays import group_pair_index, list_column_to_matrix
 from ..functions.simfuncs import qgrams
 from .clustering import connected_components
 from .groupby import bucketed_group_apply, distinct_rows
@@ -782,20 +782,23 @@ def _empty_frame(spec: dict) -> pd.DataFrame:
 def _candidate_pairs_in_bucket(df: pd.DataFrame, key: str, id_col: str,
                                max_block_size: int) -> pd.DataFrame:
     """Id-only candidate pairs for one hash bucket of (key, id) rows:
-    per key group, dedup + deterministic cap, all-pairs indices."""
+    per key group, dedup + deterministic cap (the ``max_block_size``
+    smallest ids), all-pairs — every group in one vectorized pass."""
     df = df[df.duplicated(key, keep=False)]  # singletons can't pair
-    frames = []
-    for _, g in df.groupby(key, sort=False):
-        g = g.drop_duplicates(id_col).sort_values(id_col).head(max_block_size)
-        n = len(g)
-        if n < 2:
-            continue
-        ids = g[id_col].to_numpy()
-        ii, jj = np.triu_indices(n, k=1)
-        frames.append(pd.DataFrame({"left_id": ids[ii], "right_id": ids[jj]}))
-    if not frames:
-        return _empty_frame({"left_id": "int64", "right_id": "int64"})
-    return pd.concat(frames, ignore_index=True)
+    df = df.drop_duplicates([key, id_col]).sort_values([key, id_col])
+    ii, jj, _ = group_pair_index(df[key].to_numpy(), max_block_size)
+    ids = df[id_col].to_numpy()
+    return pd.DataFrame({"left_id": ids[ii], "right_id": ids[jj]})
+
+
+def _shingle_pairs_in_bucket(df: pd.DataFrame, max_doc_freq: int) -> pd.DataFrame:
+    """ngram_jaccard_pairs' bucket fn over (shingle, doc_id) rows: all
+    pairs of each shingle's docs, skipping shingles held by more than
+    ``max_doc_freq`` docs (dropped, not truncated: the SQL oracle's HAVING
+    count(*) <= F). One pair per doc pair, however many shingles it shares."""
+    df = df.drop_duplicates(["shingle", "doc_id"])
+    df = df[df.groupby("shingle")["doc_id"].transform("size") <= max_doc_freq]
+    return _candidate_pairs_in_bucket(df, "shingle", "doc_id", max_doc_freq).drop_duplicates()
 
 
 def _needed_ids(cand_pairs, cap: int = 50_000_000):
@@ -940,20 +943,20 @@ def minhash_lsh_dedup_pairs(
     ``strategy="join"``: candidates are deduped id-only first, then text
     joins back per surviving pair (beyond-broadcast corpus sizes).
     """
-    from .scoring import default_pool_size
+    from .scoring import pool_map_batches
 
     if strategy == "auto":
         strategy = _auto_strategy(ds, id_col, text_col, max_broadcast_bytes)
 
-    keyed = ds.map_batches(
+    keyed = pool_map_batches(
+        ds,
         _ShingleMinHash,
-        fn_constructor_kwargs=dict(
+        dict(
             id_col=id_col, text_col=text_col, num_perm=num_perm,
             num_bands=num_bands, shingle_words=shingle_words,
         ),
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=(1, default_pool_size()),
     ).materialize()
     if keyed.count() == 0:
         return _empty_pairs_ds("jaccard")
@@ -1102,21 +1105,6 @@ def ngram_jaccard_pairs(
         _shingle_doc_keys(id_col, text_col, shingle_words), batch_format="pyarrow"
     )
 
-    def pairs_under_cap(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.duplicated("shingle", keep=False)]
-        frames = []
-        for _, g in df.groupby("shingle", sort=False):
-            g = g.drop_duplicates("doc_id").sort_values("doc_id")
-            n = len(g)
-            if n < 2 or n > max_doc_freq:
-                continue
-            ids = g["doc_id"].to_numpy()
-            ii, jj = np.triu_indices(n, k=1)
-            frames.append(pd.DataFrame({"left_id": ids[ii], "right_id": ids[jj]}))
-        if not frames:
-            return _empty_frame({"left_id": "int64", "right_id": "int64"})
-        return pd.concat(frames, ignore_index=True).drop_duplicates()
-
     # frequency prefilter before the big exchange (the generate_pairs
     # singleton-prefilter pattern, extended to BOTH bounds): a count pass
     # over the 8-byte shingle column finds keys with 2 ≤ df ≤ max_doc_freq;
@@ -1146,7 +1134,9 @@ def ngram_jaccard_pairs(
 
         keyed = keyed.map_batches(band_filter, batch_format="pyarrow")
 
-    cands = exchange_group_apply(keyed, "shingle", pairs_under_cap)
+    cands = exchange_group_apply(
+        keyed, "shingle", lambda df: _shingle_pairs_in_bucket(df, max_doc_freq)
+    )
     cands = distinct_rows(cands, ["left_id", "right_id"])
 
     if strategy == "join":

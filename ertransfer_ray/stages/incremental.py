@@ -250,7 +250,7 @@ def minhash_dedup_incremental(
     from .clustering import connected_components
     from .groupby import distinct_rows, exchange_group_apply
     from .joins import BroadcastSemiJoin, bucketed_anti_semi_join, bucketed_join
-    from .scoring import default_pool_size
+    from .scoring import pool_map_batches
 
     tick = time.perf_counter
 
@@ -296,15 +296,15 @@ def minhash_dedup_incremental(
         scan_thread.start()
 
     t0 = tick()
-    sigt = ds.map_batches(
+    sigt = pool_map_batches(
+        ds,
         SigBands,
-        fn_constructor_kwargs=dict(
+        dict(
             id_col=id_col, text_col=text_col, num_perm=num_perm,
             num_bands=num_bands, shingle_words=shingle_words,
         ),
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=(1, default_pool_size()),
     ).materialize()
     _mark("sketch_new", t0)
 

@@ -26,6 +26,7 @@ import ray
 
 from ..functions.arrays import list_column_to_matrix
 from ..functions.simfuncs import cosine_matrix
+from .scoring import pool_map_batches
 
 
 class _BatchTopK:
@@ -78,12 +79,13 @@ def brute_force_topk(
     """
     q = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
     query_ref = ray.put(q)
-    partials = ds.map_batches(
+    partials = pool_map_batches(
+        ds,
         _BatchTopK,
-        fn_constructor_kwargs=dict(query_ref=query_ref, id_col=id_col, vec_col=vec_col, k=k),
+        dict(query_ref=query_ref, id_col=id_col, vec_col=vec_col, k=k),
+        concurrency,
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=concurrency,
     )
     # vectorized partial merge: concat the <= k x num_batches x |queries|
     # partial rows, ONE lexsort (qid asc, cosine desc, id asc for tie

@@ -168,16 +168,36 @@ class PairScorer:
         return out
 
 
-def default_pool_size(requested: int | None = None, reserve: int = 2) -> int:
-    """Actor-pool size that leaves ``reserve`` CPUs for the read/shuffle/write
-    stages. A pool that reserves every CPU deadlocks the streaming executor:
-    upstream all-to-all tasks can never get a slot (observed on a 4-CPU
-    session with concurrency=4)."""
+#: CPUs an actor pool leaves to the read/shuffle/write stages: a pool that
+#: reserves every CPU deadlocks the streaming executor (observed on a 4-CPU
+#: session with concurrency=4).
+POOL_RESERVE_CPUS = 2
+
+
+def pool_map_batches(ds, fn_cls, fn_constructor_kwargs: dict,
+                     concurrency: int | tuple[int, int] | None = None, **map_kwargs):
+    """``ds.map_batches(fn_cls)`` on an actor pool of at most the session's
+    CPUs less :data:`POOL_RESERVE_CPUS`: ``None`` autoscales up to that
+    cap, an int is clamped to it, a tuple is kept.
+
+    On a session with no CPU beyond the reserve even one actor holds a CPU
+    the read that feeds it needs (a one-CPU ``minhash_neardup_pairs`` made
+    no progress in 63 s), so the stage runs as a task map of one instance
+    built here, fused with the read — the ``score_pairs`` "tasks" form."""
     import ray
 
     total = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    cap = max(1, total - reserve)
-    return cap if requested is None else max(1, min(requested, cap))
+    cap = total - POOL_RESERVE_CPUS
+    if cap < 1:
+        return ds.map_batches(fn_cls(**fn_constructor_kwargs), **map_kwargs)
+    if concurrency is None:
+        concurrency = (1, cap)
+    elif isinstance(concurrency, int):
+        concurrency = max(1, min(concurrency, cap))
+    return ds.map_batches(
+        fn_cls, fn_constructor_kwargs=fn_constructor_kwargs,
+        concurrency=concurrency, **map_kwargs,
+    )
 
 
 def score_pairs(
@@ -198,9 +218,10 @@ def score_pairs(
       weights). Measured: a FIXED pool of cpus-2 actors starved the
       upstream all-to-all stages (170s vs 44s on a 100k-doc corpus).
     - int → fixed actor pool of that size (clamped to leave shuffle
-      headroom), tuple → autoscaling pool. Use pools when per-actor setup
-      is expensive (real model weights, tokenizers — the T5 pattern), and
-      size them well below the CPU count.
+      headroom), tuple → autoscaling pool; tasks again on a session of at
+      most two CPUs (:func:`pool_map_batches`). Use pools when per-actor
+      setup is expensive (real model weights, tokenizers — the T5
+      pattern), and size them well below the CPU count.
     """
     if concurrency == "tasks":
         return pairs_ds.map_batches(
@@ -209,16 +230,13 @@ def score_pairs(
             batch_size=batch_size,
             num_cpus=num_cpus,
         )
-    if concurrency is None:
-        concurrency = (1, default_pool_size())
-    elif isinstance(concurrency, int):
-        concurrency = default_pool_size(concurrency)
-    return pairs_ds.map_batches(
+    return pool_map_batches(
+        pairs_ds,
         PairScorer,
-        fn_constructor_kwargs={"weights": weights, "keep_features": keep_features},
+        {"weights": weights, "keep_features": keep_features},
+        concurrency,
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=concurrency,
         num_cpus=num_cpus,
     )
 

@@ -394,6 +394,58 @@ def test_pack_sequences_oracle_drops_empty_edge_tokens():
     assert out["start_pos"].tolist() == [0, 2, 2, 2]
 
 
+def _oracle_on(name: str, texts: list[str]) -> pd.DataFrame:
+    """``ORACLE_SQL[name]`` over a documents table of ``texts`` (doc_id 1..n)."""
+    con = duckdb.connect()
+    con.register("documents", pd.DataFrame({
+        "doc_id": np.arange(1, len(texts) + 1), "text": texts,
+        "n_chars": [len(t) for t in texts], "lang": "en", "source": "src0",
+    }))
+    return con.execute(ORACLE_SQL[name]).fetchdf()
+
+
+# doc 1 holds two tokens between a leading tab and a trailing newline;
+# trim + split counted it 4, and doc 3 (whitespace only) 2
+EDGE_TEXTS = ["\tfoo bar\n", "", " \n ", "a  b c"]
+
+
+@pytest.mark.parametrize("name,column", [
+    ("doc_token_stats", "token_count"),
+    ("doc_quality", "token_count"),
+    ("doc_quality_features", "n_tokens"),
+])
+def test_token_count_oracles_drop_empty_edge_tokens(name, column):
+    """These oracles count tokens like the engine's ``token_count_batch``:
+    split on ``\\s+`` and drop the empty parts (DuckDB's ``trim`` strips
+    only spaces)."""
+    out = _oracle_on(name, EDGE_TEXTS).sort_values("doc_id")
+    assert out[column].tolist() == [2, 0, 0, 3]
+
+
+_WORDS = " ".join(["the"] * 29)
+
+
+@pytest.mark.parametrize("name,texts,expected", [
+    # the p90 threshold over counts [2, 0, 0, 3] keeps doc 4 only
+    ("doc_token_p90_filter", EDGE_TEXTS, [[4, 3]]),
+    # docs with at least one token, as (doc_id, token_count)
+    ("doc_weighted_sample", EDGE_TEXTS, [[1, 2], [4, 3]]),
+    # total tokens over all hosts
+    ("host_stats", EDGE_TEXTS, 5),
+    # the cleaning filter keeps English docs of at least 30 tokens
+    ("doc_clean_corpus", [f"\t{_WORDS}\n", f"{_WORDS} the"], [2]),
+])
+def test_token_filter_oracles_drop_empty_edge_tokens(name, texts, expected):
+    out = _oracle_on(name, texts)
+    if name == "host_stats":
+        got = out["total_tokens"].sum()
+    elif name == "doc_clean_corpus":
+        got = out["doc_id"].tolist()
+    else:
+        got = out.sort_values("doc_id")[["doc_id", "token_count"]].values.tolist()
+    assert got == expected
+
+
 def test_check_oracles_flags_int_engine_against_float_oracle():
     """The local gate compares dtype classes before ``canon`` casts within
     them: an int64 engine column against a float64 oracle column (DuckDB's
@@ -416,3 +468,35 @@ def test_check_oracles_flags_int_engine_against_float_oracle():
     # an all-null column matches any class
     nans = pd.DataFrame({"n": [np.nan, np.nan], "s": ["a", None]})
     assert compare("q", nans, nans.assign(n=pd.Series([None, None], dtype=object))) == []
+
+
+def test_check_oracles_loads_its_own_checkout(tmp_path):
+    """A copy of the script in another checkout checks that checkout's
+    queries and oracles, not those of the working directory."""
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    other = tmp_path / "other"
+    (other / "tools").mkdir(parents=True)
+    shutil.copy(repo / "tools" / "check_oracles.py", other / "tools")
+    (other / "__ray_entry__.py").write_text("")
+    probe = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('co', sys.argv[1])\n"
+        "co = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(co)\n"
+        "print(co.load_entry().__file__)\n"
+        "print(sys.path[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(other / "tools" / "check_oracles.py")],
+        cwd=repo, env={**os.environ, "PYTHONPATH": str(repo)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    entry_file, first_path = proc.stdout.split()
+    assert entry_file == str(other / "__ray_entry__.py")
+    assert first_path == str(other)

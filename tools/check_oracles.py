@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+#: The checkout this script belongs to. Its queries are checked against its
+#: own oracles, whatever the working directory or PYTHONPATH.
+CHECKOUT = Path(__file__).resolve().parents[1]
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -91,9 +96,19 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+def load_entry():
+    """This checkout's ``__ray_entry__``, with the checkout first on
+    ``sys.path`` so that the package it imports lazily is this one too."""
+    sys.path.insert(0, str(CHECKOUT))
+    import __ray_entry__
+
+    return __ray_entry__
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    entrymod = load_entry()
     import ray
 
     if not ray.is_initialized():
@@ -101,9 +116,6 @@ def main():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
