@@ -51,12 +51,6 @@ def cosine_set(a, b) -> float:
     return len(sa & sb) / float(np.sqrt(len(sa) * len(sb)))
 
 
-def overlap_coefficient(a, b) -> float:
-    sa, sb = set(a), set(b)
-    m = min(len(sa), len(sb))
-    return len(sa & sb) / m if m else 1.0
-
-
 def cosine_bag(a, b) -> float:
     """Multiset (term-frequency vector) cosine — the reference's TopKJoin
     'multiset' tokenization mode (settings.py 'multiset': True)."""
@@ -204,7 +198,8 @@ def prepared_metric(similarity: str = "cosine", multiset: bool = True):
 
 
 def jaro(a: str, b: str) -> float:
-    """Jaro similarity (scalar). Short-string kernel for titles/names."""
+    """Jaro similarity (scalar): the reference that tests hold
+    :func:`csr_jaro_winkler` to."""
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
@@ -254,37 +249,150 @@ def jaro_winkler(a: str, b: str, p: float = 0.1, max_prefix: int = 4) -> float:
     return j + prefix * p * (1.0 - j)
 
 
-def batch_jaro_winkler(left: list[str], right: list[str]) -> np.ndarray:
-    """Per-pair Jaro-Winkler over aligned lists.
-
-    Character-level similarity doesn't vectorize with numpy; strings here are
-    bounded (normalized titles, truncated), so a tight Python loop per batch
-    inside the scoring actor pool is the pragmatic kernel. Loop cost is
-    amortized per batch, setup (none needed) per actor.
-    """
-    return np.fromiter(
-        (jaro_winkler(a, b) for a, b in zip(left, right)),
-        dtype=np.float64,
-        count=len(left),
-    )
+# ---------------------------------------------------------------------------
+# Batch kernels over CSR rows (row r = values[offsets[r]:offsets[r + 1]]):
+# a batch stores each distinct text once; pairs are row-index arrays.
+# ---------------------------------------------------------------------------
 
 
-def batch_token_jaccard(left_tokens: list[list[str]], right_tokens: list[list[str]]) -> np.ndarray:
-    return np.fromiter(
-        (jaccard(a, b) for a, b in zip(left_tokens, right_tokens)),
-        dtype=np.float64,
-        count=len(left_tokens),
-    )
+def _ragged(starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, flat position) of every element of the segments
+    ``[starts[i], starts[i] + lengths[i])``, segment-major."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(lengths) - lengths)
+    return seg, np.arange(len(seg)) + np.repeat(shift, lengths)
 
 
-def length_ratio(left: list[str], right: list[str]) -> np.ndarray:
-    la = np.fromiter((len(s) for s in left), dtype=np.float64, count=len(left))
-    lb = np.fromiter((len(s) for s in right), dtype=np.float64, count=len(right))
-    mx = np.maximum(la, lb)
-    mn = np.minimum(la, lb)
-    out = np.ones_like(mx)
-    nz = mx > 0
-    out[nz] = mn[nz] / mx[nz]
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+
+
+def codepoint_csr(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Texts → CSR rows of their code points, so row positions are Python
+    string indices."""
+    cps = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    return _offsets(np.fromiter(map(len, texts), np.int64, len(texts))), cps.astype(np.int32)
+
+
+def csr_sets(offsets, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's keys as a sorted-unique set of dense codes (equal keys ↔
+    equal codes)."""
+    uniq, codes = np.unique(keys, return_inverse=True)
+    n, k = len(offsets) - 1, max(len(uniq), 1)
+    u = np.unique(np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets)) * k + codes)
+    return _offsets(np.bincount(u // k, minlength=n)), u % k
+
+
+def csr_trigram_keys(offsets, values) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's 3-grams of ``values`` as int64 keys (equal grams ↔ equal
+    keys); a row of one or two items is one gram, an empty row none — the
+    rule of ``qgrams(s, 3)`` over code points and of word shingles."""
+    lens = np.diff(offsets)
+    grams = np.where(lens >= 3, lens - 2, np.minimum(lens, 1))
+    row, pos = _ragged(offsets[:-1], grams)
+    values = values.astype(np.int64)
+    base = int(values.max(initial=0)) + 2  # base - 1 pads a short row
+    key = values[pos]
+    for k in (1, 2):
+        if int(key.max(initial=0)) >= (1 << 62) // base:  # keep key * base in int64
+            key = np.unique(key, return_inverse=True)[1]
+        nxt = values[np.minimum(pos + k, len(values) - 1)]
+        key = key * base + np.where(pos + k < offsets[1:][row], nxt, base - 1)
+    return _offsets(grams), key
+
+
+def csr_jaccard(offsets, codes, left, right) -> np.ndarray:
+    """:func:`jaccard` of the :func:`csr_sets` rows ``left[p]`` and
+    ``right[p]`` for every pair, bit for bit (the same int / int division,
+    empty/empty = 1.0). Each pair probes its smaller set in one sorted
+    (row, code) table."""
+    sizes = np.diff(offsets)
+    nl, nr = sizes[left], sizes[right]
+    k = int(codes.max(initial=0)) + 1
+    table = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes) * k + codes
+    small, big = np.where(nl <= nr, left, right), np.where(nl <= nr, right, left)
+    pair, pos = _ragged(offsets[small], sizes[small])
+    probe = big[pair] * k + codes[pos]
+    at = np.minimum(np.searchsorted(table, probe), len(table) - 1)
+    inter = np.bincount(pair[table[at] == probe], minlength=len(left))
+    union = nl + nr - inter
+    return np.divide(inter, union, out=np.ones(len(left)), where=union > 0)
+
+
+#: Cells (pairs x padded width of both sides) of one Jaro-Winkler slice:
+#: pairs run in slices of similar title length, so a long title costs its
+#: own rows' cells, not the whole batch's.
+_JW_SLICE_CELLS = 1 << 18
+
+
+def csr_jaro_winkler(offsets, values, left, right, p: float = 0.1,
+                     max_prefix: int = 4) -> np.ndarray:
+    """:func:`jaro_winkler` of the :func:`codepoint_csr` rows ``left[p]`` and
+    ``right[p]`` for every pair, bit for bit."""
+    lens = np.diff(offsets)
+    la, lb = lens[left], lens[right]
+    out = np.where((left == right) | ((la == 0) & (lb == 0)), 1.0, 0.0)
+    todo = np.flatnonzero((left != right) & (la > 0) & (lb > 0))
+    todo = todo[np.argsort(np.maximum(la, lb)[todo], kind="stable")]
+    width = 2 * np.maximum(la, lb)[todo]
+    start = 0
+    while start < len(todo):
+        cells = np.arange(1, len(todo) - start + 1) * width[start:]
+        stop = start + max(1, int(np.searchsorted(cells, _JW_SLICE_CELLS, "right")))
+        idx = todo[start:stop]
+        out[idx] = _jaro_winkler_slice(offsets, values, left[idx], right[idx], p, max_prefix)
+        start = stop
+    return out
+
+
+def _jaro_winkler_slice(offsets, values, left, right, p, max_prefix) -> np.ndarray:
+    """The scalar's greedy matching, one ``a`` position at a time for all
+    pairs (both sides non-empty and distinct) on padded code-point matrices;
+    pads (-1 in ``a``, -2 in ``b``) never match. Rows run longest ``a``
+    first, so the rows still matching at position ``i`` are a prefix, and
+    only the columns their windows reach are compared."""
+    order = np.argsort(-(offsets[left + 1] - offsets[left]), kind="stable")
+
+    def padded(rows, fill):
+        lens = offsets[rows + 1] - offsets[rows]
+        m = np.full((len(rows), int(lens.max())), fill, dtype=values.dtype)
+        seg, pos = _ragged(offsets[rows], lens)
+        m[seg, pos - offsets[rows][seg]] = values[pos]
+        return m, lens
+
+    a, la = padded(left[order], -1)
+    b, lb = padded(right[order], -2)
+    n, width_b = b.shape
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    live = np.searchsorted(-la, -np.arange(a.shape[1]))  # rows with la > i
+    reach, wreach = np.maximum.accumulate(lb), np.maximum.accumulate(window)
+    cols = np.arange(width_b)
+    am, bm = np.zeros(a.shape, dtype=bool), np.zeros(b.shape, dtype=bool)
+    for i in range(a.shape[1]):
+        r = live[i]
+        lo, hi = max(0, i - wreach[r - 1]), min(reach[r - 1], i + wreach[r - 1] + 1)
+        if lo >= hi:  # lo only grows and reach only shrinks from here on
+            break
+        free = (
+            (b[:r, lo:hi] == a[:r, i, None]) & ~bm[:r, lo:hi]
+            & (np.abs(cols[lo:hi] - i) <= window[:r, None])
+        )
+        j = free.argmax(axis=1)
+        hit = np.flatnonzero(free[np.arange(r), j])
+        bm[hit, lo + j[hit]] = True
+        am[hit, i] = True
+    m = am.sum(axis=1)
+    ra, ca = np.nonzero(am)
+    rb, cb = np.nonzero(bm)
+    t = np.bincount(ra[a[ra, ca] != b[rb, cb]], minlength=n) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = np.where(m > 0, (m / la + m / lb + (m - t) / m) / 3.0, 0.0)
+    prefix, same = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    for k in range(min(max_prefix, a.shape[1], width_b)):
+        same &= a[:, k] == b[:, k]
+        prefix += same
+    out = np.empty(n)
+    out[order] = np.where(sim == 0.0, 0.0, sim + prefix * p * (1.0 - sim))
     return out
 
 

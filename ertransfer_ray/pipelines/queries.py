@@ -2749,10 +2749,10 @@ _MINHASH_PAIR_BODY = f"""bands AS (
           ON a.band_key = b.band_key AND a.doc_id < b.doc_id
     ),
     -- verification space: distinct char-3-grams of the whitespace-
-    -- normalized lowercase text (stages/dedup._gram_code_arrays; strings
+    -- normalized lowercase text (stages/dedup._gram_code_sets; strings
     -- shorter than 3 chars are their own single gram, per simfuncs.qgrams).
-    -- NOTE: RE2's \s is ASCII-only while Python's str.split also splits
-    -- exotic Unicode whitespace (U+00A0, U+1C-1F…) — the comparison
+    -- NOTE: RE2's whitespace class is ASCII-only while Python's str.split
+    -- also splits exotic Unicode whitespace (U+00A0, U+1C-1F…) — the comparison
     -- contract is ASCII-whitespace corpora (all repo test data is)
     norm AS (
         SELECT doc_id, trim(regexp_replace(lower(text), '\\s+', ' ', 'g')) AS t

@@ -135,11 +135,3 @@ def read_matches_csv(path: str) -> pd.DataFrame:
     if missing:
         raise ValueError(f"{path}: matches table missing {missing}")
     return df[["tableA_id", "tableB_id"]].astype("int64")
-
-
-def dataset_from_entity_csv(path: str):
-    """Entity CSV → Ray Dataset (normalized eagerly; these tables are the
-    small dimension side of the reference's workflow)."""
-    import ray.data as rd
-
-    return rd.from_pandas(read_entity_csv(path))

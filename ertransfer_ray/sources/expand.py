@@ -39,78 +39,6 @@ def _variant_words(words: list[str], doc_id: int, variant: int, seed: int) -> li
     return ws
 
 
-def expand_embeddings(
-    src_parquet: str,
-    out_parquet: str,
-    factor: int = 100,
-    seed: int = 13,
-    jitter: float = 0.02,
-) -> str:
-    """Expanded embeddings table (vec_id:int64, embedding:list<float32>)
-    with near-duplicate structure: per source vector, variant 0 is the
-    original, variants 1-2 are tiny jitters (cosine ≈ 1 − jitter²/2 —
-    near-dups the ANN/near-dup stages should find), variants 3+ are fresh
-    unit vectors (distinct). Deterministic per (vec_id, variant, seed);
-    written as a directory of 32 files like expand_documents. Cached."""
-    meta_path = out_parquet + ".meta.json"
-    st = os.stat(src_parquet)
-    fingerprint = f"{src_parquet}:{st.st_size}:{int(st.st_mtime)}:{factor}:{seed}:{jitter}:v1"
-    if os.path.isdir(out_parquet) and os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f).get("fingerprint") == fingerprint:
-                return out_parquet
-
-    src = pq.read_table(src_parquet, columns=["vec_id", "embedding"])
-    ids = np.asarray(src.column("vec_id").to_pylist(), dtype=np.int64)
-    base = np.asarray(src.column("embedding").to_pylist(), dtype=np.float64)
-    base /= np.maximum(np.linalg.norm(base, axis=1, keepdims=True), 1e-12)
-    d = base.shape[1]
-    out_ids = np.empty(len(ids) * factor, dtype=np.int64)
-    out_vecs = np.empty((len(ids) * factor, d), dtype=np.float64)
-    k = 0
-    for vid, vec in zip(ids, base):
-        for v in range(factor):
-            rng = np.random.default_rng(seed * 1_000_003 + int(vid) * 131 + v)
-            if v == 0:
-                w = vec
-            elif v <= 2:
-                w = vec + rng.standard_normal(d) * jitter
-            else:
-                w = rng.standard_normal(d)
-            out_ids[k] = int(vid) * factor + v
-            out_vecs[k] = w / max(np.linalg.norm(w), 1e-12)
-            k += 1
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(out_ids, pa.int64()),
-            "embedding": pa.array(
-                out_vecs.astype(np.float32).tolist(), pa.list_(pa.float32())
-            ),
-        }
-    )
-    os.makedirs(os.path.dirname(out_parquet) or ".", exist_ok=True)
-    tmp = out_parquet + ".tmp"
-    import shutil
-
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    n_files = 32
-    n = tbl.num_rows
-    step = (n + n_files - 1) // n_files
-    for i in range(n_files):
-        part = tbl.slice(i * step, step)
-        if part.num_rows:
-            pq.write_table(part, os.path.join(tmp, f"part-{i:04d}.parquet"))
-    if os.path.isdir(out_parquet):
-        shutil.rmtree(out_parquet)
-    elif os.path.isfile(out_parquet):
-        os.remove(out_parquet)
-    os.replace(tmp, out_parquet)
-    with open(meta_path, "w") as f:
-        json.dump({"fingerprint": fingerprint, "rows": int(n)}, f)
-    return out_parquet
-
-
 def expand_documents(
     src_parquet: str,
     out_parquet: str,

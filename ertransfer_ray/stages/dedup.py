@@ -56,7 +56,7 @@ from ..functions.hashing import (
     stable_hash64,
 )
 from ..functions.arrays import group_pair_index, list_column_to_matrix
-from ..functions.simfuncs import qgrams
+from ..functions.simfuncs import codepoint_csr, csr_jaccard, csr_sets, csr_trigram_keys
 from .clustering import connected_components
 from .groupby import bucketed_group_apply, distinct_rows
 
@@ -152,60 +152,23 @@ def _empty_pairs_ds(score_col: str):
     )
 
 
-def _jaccard_codes(a: np.ndarray, b: np.ndarray) -> float:
-    """Set Jaccard over sorted-unique int gram-code arrays — the exact
-    C-level replacement for ``jaccard(set, set)`` (empty/empty = 1.0, the
-    simfuncs.jaccard convention): per pair one sorted intersection instead
-    of ~|set| Python string-hash lookups. Codes come from a per-batch
-    factorize (exact string identity, no hashing)."""
-    na, nb = a.size, b.size
-    if na == 0 and nb == 0:
-        return 1.0
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    u = na + nb - inter
-    return inter / u if u else 0.0
+def _gram_code_sets(texts) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(offsets, codes)`` of each text's sorted-unique char-3-gram
+    codes over the normalized text (lowercased, whitespace collapsed) — the
+    exact verification space (mirrors the reference's q-gram tokenization
+    family, reference splitters/KNN-Join/splitter.py:72-81). Codes
+    are batch-local exact identities (no hashing), compared by
+    :func:`csr_jaccard` within one verify call."""
+    norm = [" ".join((t or "").lower().split()) for t in texts]
+    return csr_sets(*csr_trigram_keys(*codepoint_csr(norm)))
 
 
-def _gram_code_arrays(ids, texts, q: int = 3) -> dict:
-    """{id: sorted-unique int gram-code array} for a batch of docs over the
-    normalized char-``q``-gram space — the exact verification space
-    (mirrors the reference's q-gram tokenization family,
-    /root/reference/splitters/KNN-Join/splitter.py:72-81).
-    One pd.factorize over the batch's concatenated grams assigns exact
-    integer identities; each doc's codes are then uniqued+sorted."""
-    ids = list(ids)
-    all_grams: list[str] = []
-    lengths: list[int] = []
-    for t in texts:
-        g = qgrams(" ".join((t or "").lower().split()), q)
-        all_grams.extend(g)
-        lengths.append(len(g))
-    if not all_grams:
-        return {d: np.empty(0, np.int64) for d in ids}
-    codes, _ = pd.factorize(np.asarray(all_grams, dtype=object))
-    out = {}
-    pos = 0
-    for d, ln in zip(ids, lengths):
-        out[d] = np.unique(codes[pos : pos + ln])
-        pos += ln
-    return out
-
-
-def _fetch_gram_codes(side_refs, uniq_ids) -> dict:
-    """Per-bucket text fetch through the worker-cached lookup: returns
-    {id: sorted-unique gram-code array} for the ids this bucket references
-    (codes are batch-local — only ever compared within one verify call)."""
+def _fetch_gram_codes(side_refs, uniq_ids) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gram_code_sets` of the texts of ``uniq_ids``, fetched through
+    the worker-cached lookup (an id missing from the side: the empty set)."""
     index, texts = _cached_side(side_refs, _text_lookup_build)
-    uniq_ids = np.asarray(uniq_ids)
-    if len(index) == 0 or len(uniq_ids) == 0:
-        return {d: np.empty(0, np.int64) for d in uniq_ids}
-    pos = index.get_indexer(uniq_ids)
-    valid = pos >= 0
-    fetched = pa.compute.take(texts, pa.array(pos[valid], pa.int64())).to_pylist()
-    out = _gram_code_arrays(uniq_ids[valid], fetched)
-    for d in uniq_ids[~valid]:
-        out[d] = np.empty(0, np.int64)
-    return out
+    pos = index.get_indexer(np.asarray(uniq_ids))
+    return _gram_code_sets(pa.compute.take(texts, pa.array(pos, mask=pos < 0)).to_pylist())
 
 
 def _batch_doc_shingle_hashes(
@@ -402,11 +365,13 @@ def _bloom_cfg(state_dir: str, capacity: int, fpp: float) -> dict:
 
     cfg_path = os.path.join(state_dir, "bloom_config.json")
     if os.path.exists(cfg_path):
-        return json.load(open(cfg_path))
+        with open(cfg_path) as f:
+            return json.load(f)
     m_bits, k = bloom_params(capacity, fpp)
     cfg = {"m_bits": m_bits, "k": k}
     tmp = cfg_path + ".tmp"
-    json.dump(cfg, open(tmp, "w"))
+    with open(tmp, "w") as f:
+        json.dump(cfg, f)
     os.replace(tmp, cfg_path)
     return cfg
 
@@ -893,19 +858,12 @@ def _attach_and_verify_jaccard(cand_pairs, docs_ds, id_col, text_col,
         # candidates share texts heavily (duplicate families), and a per-row
         # build measured 48.7 s for 6,717 pairs of ~4 KB texts at 1.6M docs
         # where this form takes ~4 s (the same reuse the broadcast verify
-        # gets from its per-bucket sets dict)
+        # gets from its per-bucket gram sets)
         ids = pd.concat([df["left_id"], df["right_id"]], ignore_index=True)
         texts = pd.concat([df["left_text"], df["right_text"]], ignore_index=True)
-        first = ~ids.duplicated()
-        sets = _gram_code_arrays(ids[first], list(texts[first]))
-        jac = np.fromiter(
-            (
-                _jaccard_codes(sets[a], sets[b])
-                for a, b in zip(df["left_id"], df["right_id"])
-            ),
-            dtype=np.float64,
-            count=len(df),
-        )
+        rows, _ = pd.factorize(ids, use_na_sentinel=False)  # first-appearance order
+        sets = _gram_code_sets(list(texts[~ids.duplicated()]))
+        jac = csr_jaccard(*sets, rows[: len(df)], rows[len(df):])
         # the tagged-union join carries absent-side columns as None, which
         # degrades int ids to object dtype — restore the schema here
         out = df[["left_id", "right_id"]].astype("int64")
@@ -994,35 +952,32 @@ def minhash_lsh_dedup_pairs(
         if df.empty:
             return _empty_frame(_EMPTY_JACCARD_PAIRS)
         # the side stays ARROW; only the texts this bucket references are
-        # converted (and their shingle sets built ONCE per bucket) — a full
+        # converted (and their gram sets built ONCE per bucket) — a full
         # corpus-wide to_pylist per worker hits the allocator pathology
         # documented in blocking.attach_pair_payloads. The id lookup index is
         # built once per WORKER (cached), not per bucket (index_in rebuilt it
         # against the full corpus every call — a num_buckets x corpus term).
-        sets = _fetch_gram_codes(side_refs, pd.unique(df["doc_id"]))
-        frames = []
+        uniq = pd.unique(df["doc_id"])
+        sets = _fetch_gram_codes(side_refs, uniq)
+        lefts, rights = [], []
         for _, g in df.groupby("band_key", sort=False):
             g = g.drop_duplicates("doc_id").sort_values("doc_id").head(max_block_size)
             n = len(g)
             if n < 2:
                 continue
             ids = g["doc_id"].to_numpy()
-            shingle_sets = [sets[d] for d in ids]
             ii, jj = np.triu_indices(n, k=1)
-            jac = np.fromiter(
-                (_jaccard_codes(shingle_sets[i], shingle_sets[j]) for i, j in zip(ii, jj)),
-                dtype=np.float64,
-                count=len(ii),
-            )
-            keep = jac >= jaccard_threshold
-            frames.append(
-                pd.DataFrame(
-                    {"left_id": ids[ii[keep]], "right_id": ids[jj[keep]], "jaccard": jac[keep]}
-                )
-            )
-        if not frames:
+            lefts.append(ids[ii])
+            rights.append(ids[jj])
+        if not lefts:
             return _empty_frame(_EMPTY_JACCARD_PAIRS)
-        return pd.concat(frames, ignore_index=True)
+        left, right = np.concatenate(lefts), np.concatenate(rights)
+        index = pd.Index(uniq)
+        jac = csr_jaccard(*sets, index.get_indexer(left), index.get_indexer(right))
+        keep = jac >= jaccard_threshold
+        return pd.DataFrame(
+            {"left_id": left[keep], "right_id": right[keep], "jaccard": jac[keep]}
+        )
 
     from .groupby import exchange_group_apply
 
@@ -1160,16 +1115,12 @@ def ngram_jaccard_pairs(
         # corpus-wide to_pylist per worker hits the allocator pathology
         # documented in blocking.attach_pair_payloads. Each doc's gram set
         # is built ONCE per batch (docs appear in many pairs), and the id
-        # lookup index ONCE per worker (see _fetch_shingle_sets).
-        sets = _fetch_gram_codes(
-            side_refs,
-            pd.unique(pd.concat([df["left_id"], df["right_id"]], ignore_index=True)),
+        # lookup index ONCE per worker (see _fetch_gram_codes).
+        rows, uniq = pd.factorize(
+            pd.concat([df["left_id"], df["right_id"]], ignore_index=True)
         )
-        jac = np.fromiter(
-            (_jaccard_codes(sets[a], sets[b]) for a, b in zip(df["left_id"], df["right_id"])),
-            dtype=np.float64,
-            count=len(df),
-        )
+        sets = _fetch_gram_codes(side_refs, uniq)
+        jac = csr_jaccard(*sets, rows[: len(df)], rows[len(df):])
         out = df[["left_id", "right_id"]].copy()
         out["jaccard"] = jac
         return out[jac >= jaccard_threshold]

@@ -480,3 +480,22 @@ def test_exact_dedup_incremental_bloom_overflow_degrades_to_join(tmp_path):
         inc2, state, "d2", seen_filter="bloom", max_broadcast_ids=0
     ).to_pandas()
     assert sorted(got["doc_id"]) == [6]
+
+
+def test_bloom_cfg_closes_its_files(tmp_path):
+    """Creating and then loading the Bloom geometry leaves no file open."""
+    import gc
+    import warnings
+
+    from ertransfer_ray.stages.dedup import _bloom_cfg
+
+    # recorded, not raised: a file closed by its finalizer warns from a
+    # destructor, where an "error" filter could only print the exception
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        made = _bloom_cfg(str(tmp_path), 1024, 0.01)
+        loaded = _bloom_cfg(str(tmp_path), 1024, 0.01)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert made == loaded
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bloom_config.json"]

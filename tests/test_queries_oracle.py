@@ -500,3 +500,17 @@ def test_check_oracles_loads_its_own_checkout(tmp_path):
     entry_file, first_path = proc.stdout.split()
     assert entry_file == str(other / "__ray_entry__.py")
     assert first_path == str(other)
+
+
+def test_queries_module_compiles_with_warnings_as_errors():
+    """No string in queries.py holds an invalid escape sequence (a
+    SyntaxWarning now, an error under ``-W error`` and in future Pythons)."""
+    import warnings
+
+    import ertransfer_ray.pipelines.queries as q
+
+    with open(q.__file__, encoding="utf-8") as f:
+        source = f.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(source, q.__file__, "exec")

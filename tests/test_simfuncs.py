@@ -27,13 +27,17 @@ def test_jaro_winkler_known_values():
     assert S.jaro_winkler("", "abc") == 0.0
 
 
-def test_batch_kernels():
-    jw = S.batch_jaro_winkler(["abc", "xyz"], ["abc", "abc"])
-    assert jw[0] == 1.0 and jw[1] < 0.6
-    tj = S.batch_token_jaccard([["a"], ["a", "b"]], [["a"], ["c"]])
-    assert tj[0] == 1.0 and tj[1] == 0.0
-    lr = S.length_ratio(["ab", ""], ["abcd", ""])
-    assert lr[0] == 0.5 and lr[1] == 1.0
+def test_csr_kernels_on_repeated_rows():
+    """The CSR kernels equal the scalars also when two rows hold one text
+    (callers need not pass distinct rows), empty rows included."""
+    texts = ["", "", "abc", "abc", "ab", "cab", "a"]
+    left, right = (a.ravel() for a in np.indices((len(texts), len(texts))))
+    chars = S.codepoint_csr(texts)
+    jw = S.csr_jaro_winkler(*chars, left, right)
+    grams = S.csr_jaccard(*S.csr_sets(*S.csr_trigram_keys(*chars)), left, right)
+    for p, (i, j) in enumerate(zip(left, right)):
+        assert jw[p] == S.jaro_winkler(texts[i], texts[j])
+        assert grams[p] == S.jaccard(S.qgrams(texts[i], 3), S.qgrams(texts[j], 3))
 
 
 def test_cosine_matrix_and_pairwise():
