@@ -38,7 +38,6 @@ from ..stages.dedup import (
     simhash_dedup_pairs,
 )
 from ..stages.groupby import (
-    bucketed_group_apply,
     distinct_rows,
     grouped_aggregate,
     grouped_top_k,

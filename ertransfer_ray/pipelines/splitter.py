@@ -42,7 +42,7 @@ from ..functions.hashing import (
 )
 from ..functions.simfuncs import qgrams
 from ..functions.textnorm import ag_value, clean_text, coerce_strings
-from ..stages.groupby import bucketed_group_apply
+from ..stages.groupby import exchange_group_apply
 from ..stages.joins import BroadcastHashJoin, put_broadcast
 
 
@@ -317,7 +317,7 @@ def topk_similarity_join(
         df = df.drop_duplicates(["tableA_id", "tableB_id"])
         return df.groupby("tableA_id", sort=False).head(k)
 
-    return bucketed_group_apply(scored, "tableA_id", topk_per_a)
+    return exchange_group_apply(scored, "tableA_id", topk_per_a)
 
 
 def label_pairs(pairs_ds, matches_df: pd.DataFrame):

@@ -17,11 +17,11 @@ Re-implements the reference's clustering step
   zeroer/entrypoint.py:65-66, scaled out per the map-reduce CC literature).
 
 Implementation note: every multi-dataset operation here is expressed as
-``union`` + ``groupby`` + ``map_groups`` (cogroup algebra) rather than
-``Dataset.join`` — Ray 2.49's hash-shuffle join raises ArrowInvalid when a
-hash partition is empty (num_partitions > distinct keys), which iterative
-algorithms on shrinking frontiers hit constantly. Cogroup has identical
-shuffle shape and no such edge case.
+``union`` + one hash exchange (``groupby.exchange_group_apply``, cogroup
+algebra) rather than ``Dataset.join`` — Ray 2.49's hash-shuffle join raises
+ArrowInvalid when a hash partition is empty (num_partitions > distinct
+keys), which iterative algorithms on shrinking frontiers hit constantly.
+Cogroup has identical shuffle shape and no such edge case.
 """
 
 from __future__ import annotations
@@ -36,38 +36,28 @@ import pyarrow.compute as pc
 # D4: reciprocal top-1
 # ---------------------------------------------------------------------------
 
-def reciprocal_top1(predictions_ds, theta: float = 0.5, exchange: bool = False):
+def reciprocal_top1(predictions_ds, theta: float = 0.5):
     """D4: pairs that are top-1 for BOTH endpoints, above θ.
 
     Reference clustering/Probabilities/clustering.py:7-40 (intersection at 28).
-    Both top-1 passes are bucketed grouped-top-k (vectorized sort +
-    groupby-head per bucket); the intersection is a cogroup on the pair key:
-    union both top-1 sets with a side tag, keep pairs present on both sides.
-    Ties broken by the partner url for determinism.
-
-    ``exchange=True``: run all three grouped steps on the raw hash exchange
-    (identical contract, adds materialize barriers) — for iterative callers
-    where Ray's sort-based groupby cost compounds per round
-    (mutual_best_rounds measured 15.2 s vs >560 s for 3 rounds over 500k
-    pairs once its grouped steps left the sort path).
+    Both top-1 passes are grouped-top-k on the hash exchange (vectorized
+    sort + groupby-head per bucket); the intersection is a cogroup on the
+    pair key: union both top-1 sets with a side tag, keep pairs present on
+    both sides. Ties broken by the partner url for determinism.
     """
-    from .groupby import bucketed_group_apply, exchange_group_apply, grouped_top_k
+    from .groupby import exchange_group_apply, grouped_top_k
 
+    # consumed by BOTH top-1 passes, and each exchange runs its input once,
+    # so pin the filtered pool once
     above = predictions_ds.map_batches(
         lambda t: t.filter(pc.greater(t["prob"], theta)),
         batch_format="pyarrow",
-    )
-    if exchange:
-        # consumed by BOTH top-1 passes; the exchange enumerates blocks per
-        # call, so pin the filtered pool once
-        above = above.materialize()
+    ).materialize()
     left_best = grouped_top_k(
-        above, "left_url", "prob", k=1, descending=True,
-        tie_cols=["right_url"], exchange=exchange,
+        above, "left_url", "prob", k=1, descending=True, tie_cols=["right_url"]
     )
     right_best = grouped_top_k(
-        above, "right_url", "prob", k=1, descending=True,
-        tie_cols=["left_url"], exchange=exchange,
+        above, "right_url", "prob", k=1, descending=True, tie_cols=["left_url"]
     )
 
     def tag(side: int):
@@ -94,8 +84,7 @@ def reciprocal_top1(predictions_ds, theta: float = 0.5, exchange: bool = False):
             ["left_url", "right_url", "prob"]
         ]
 
-    apply = exchange_group_apply if exchange else bucketed_group_apply
-    return apply(both, ["left_url", "right_url"], intersect)
+    return exchange_group_apply(both, ["left_url", "right_url"], intersect)
 
 
 def greedy_unique_mapping(predictions_df: pd.DataFrame, theta: float = 0.5) -> pd.DataFrame:
@@ -146,7 +135,7 @@ def mutual_best_rounds(predictions_ds, theta: float = 0.5, max_rounds: int = 5):
     for _ in range(max_rounds):
         if remaining.count() == 0:
             break
-        best = reciprocal_top1(remaining, theta=0.0, exchange=True).materialize()
+        best = reciprocal_top1(remaining, theta=0.0).materialize()
         if best.count() == 0:
             break
         accepted = best if accepted is None else accepted.union(best).materialize()

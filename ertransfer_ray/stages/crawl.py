@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.urlnorm import normalize_urls
-from .groupby import bucketed_group_apply
+from .groupby import exchange_group_apply
 from .joins import BroadcastSemiJoin, bucketed_anti_semi_join, put_broadcast
 
 #: byte cap for anti-broadcasting the loser capture keys. NOT the generic
@@ -112,7 +112,7 @@ def latest_capture_per_url(
         )
 
     loser_keys = (
-        bucketed_group_apply(keyed, "url_norm", losers_in_bucket, num_buckets)
+        exchange_group_apply(keyed, "url_norm", losers_in_bucket, num_buckets)
         .map_batches(to_keys, batch_format="pyarrow")
         .materialize()
     )

@@ -58,7 +58,7 @@ from ..functions.hashing import (
 from ..functions.arrays import group_pair_index, list_column_to_matrix
 from ..functions.simfuncs import codepoint_csr, csr_jaccard, csr_sets, csr_trigram_keys
 from .clustering import connected_components
-from .groupby import bucketed_group_apply, distinct_rows
+from .groupby import distinct_rows, exchange_group_apply
 
 # ---------------------------------------------------------------------------
 # worker-side payload lookup (broadcast strategy)
@@ -346,12 +346,17 @@ def boilerplate_shingle_stats(
 # exact dedup (D1)
 # ---------------------------------------------------------------------------
 
+def _content_hash(texts) -> pa.Array:
+    """Vectorized stable content hash (non-negative int64) of a text column."""
+    h = stable_hash64(texts.to_pylist())
+    return pa.array((h >> np.uint64(1)).astype(np.int64))
+
+
 def add_content_hash(ds, text_col: str = "text", out: str = "content_hash"):
     """Vectorized stable content hash column (int64)."""
 
     def fn(t: pa.Table) -> pa.Table:
-        h = stable_hash64(t.column(text_col).to_pylist())
-        return t.append_column(out, pa.array((h >> np.uint64(1)).astype(np.int64)))
+        return t.append_column(out, _content_hash(t.column(text_col)))
 
     return ds.map_batches(fn, batch_format="pyarrow")
 
@@ -631,8 +636,6 @@ def exact_dedup(ds, id_col: str, text_col: str = "text",
     contents beyond a worker heap) falls back to hash-partitioning the
     full rows, which stays correct.
     """
-    from .groupby import exchange_group_apply
-
     hashed = add_content_hash(ds, text_col).materialize()
     pairs = hashed.map_batches(
         lambda t: t.select(["content_hash", id_col]), batch_format="pyarrow"
@@ -669,7 +672,7 @@ def exact_dedup(ds, id_col: str, text_col: str = "text",
             ["content_hash"]
         )
 
-    kept = bucketed_group_apply(
+    kept = exchange_group_apply(
         hashed,
         "content_hash",
         lambda df: df.sort_values(id_col).drop_duplicates("content_hash"),
@@ -679,15 +682,23 @@ def exact_dedup(ds, id_col: str, text_col: str = "text",
 
 def exact_dedup_summary(ds, id_col: str, text_col: str = "text"):
     """(keep_id, dup_count) per distinct content — the oracle-checkable
-    projection of exact dedup (SQL: min(id), count(*) GROUP BY text)."""
-    hashed = add_content_hash(ds, text_col)
+    projection of exact dedup (SQL: min(id), count(*) GROUP BY text).
+
+    Only ``(id, content_hash)`` leaves the hashing map: the text never
+    rides the exchange."""
+    hashed = ds.map_batches(
+        lambda t: pa.table(
+            {id_col: t.column(id_col), "content_hash": _content_hash(t.column(text_col))}
+        ),
+        batch_format="pyarrow",
+    )
 
     def summarize(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("content_hash", as_index=False, sort=False).agg(
             keep_id=(id_col, "min"), dup_count=(id_col, "size")
         )[["keep_id", "dup_count"]]
 
-    return bucketed_group_apply(hashed, "content_hash", summarize)
+    return exchange_group_apply(hashed, "content_hash", summarize)
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +990,6 @@ def minhash_lsh_dedup_pairs(
             {"left_id": left[keep], "right_id": right[keep], "jaccard": jac[keep]}
         )
 
-    from .groupby import exchange_group_apply
-
     # raw-Ray hash exchange for the ×num_bands row explosion (same choice as
     # blocking.generate_pairs): no sample+sort, one task per bucket
     pairs = exchange_group_apply(keyed, "band_key", verify_bucket)
@@ -1233,8 +1242,6 @@ def simhash_dedup_pairs(
             )
         return pd.concat(frames, ignore_index=True)
 
-    from .groupby import exchange_group_apply
-
     pairs = exchange_group_apply(keyed, "bucket", verify)
     return distinct_rows(pairs, ["left_id", "right_id"])
 
@@ -1424,8 +1431,6 @@ def embedding_neardup_pairs(
         if not frames:
             return _empty_frame(_EMPTY_COS)
         return pd.concat(frames, ignore_index=True)
-
-    from .groupby import exchange_group_apply
 
     pairs = exchange_group_apply(keyed, "bucket", verify)
     return distinct_rows(pairs, ["left_id", "right_id"])

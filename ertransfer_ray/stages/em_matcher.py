@@ -199,7 +199,7 @@ def neighbor_lists(pairs_ds, side: str = "left_url", max_neighbors: int = 64):
     Returns (url, neighbors:list<string>, degree:int64), neighbors sorted
     and capped deterministically.
     """
-    from .groupby import bucketed_group_apply
+    from .groupby import exchange_group_apply
 
     other = "right_url" if side == "left_url" else "left_url"
 
@@ -217,6 +217,6 @@ def neighbor_lists(pairs_ds, side: str = "left_url", max_neighbors: int = 64):
             }
         )
 
-    return bucketed_group_apply(
+    return exchange_group_apply(
         pairs_ds.select_columns([side, other]), side, per_bucket
     )

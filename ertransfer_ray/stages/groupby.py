@@ -1,6 +1,6 @@
-"""Bucketed grouped execution — this engine's standard shuffle primitive.
+"""The hash exchange — this engine's one shuffle primitive.
 
-Why this exists (measured on Ray 2.49.2, 600k rows, 4 CPUs, this container):
+Why this exists (measured on Ray 2.49.2, 600k rows, 4 CPUs):
 
 ====================================================  =========
 ``groupby(k).aggregate(Sum, Count)`` (6 groups)        228 s
@@ -10,20 +10,26 @@ hash-bucket to 8 + vectorized pandas per bucket        0.49 s
 
 Ray 2.49's builtin aggregate path accumulates **per row in Python**, and
 ``map_groups`` pays a per-GROUP Python/pandas overhead (~1-2 ms), so any
-high-cardinality key is catastrophic. ``sort`` (0.5 s) and ``Dataset.join``
-(3 s) are fine — the pathology is specific to grouped aggregation.
+high-cardinality key is catastrophic. Its groupby also sorts, which hash
+bucketing never needs.
 
-The fix is classic MapReduce shape and is also the right 100 TB design:
+Every grouped operation here (distinct, aggregate, top-k, cogroup joins)
+runs on :func:`exchange_group_apply`, a classic two-phase MapReduce
+exchange written on raw Ray tasks:
 
-1. add ``_bucket = stable_hash(key) % P`` per batch (vectorized, no shuffle)
-2. ``groupby("_bucket")`` — the shuffle moves every row ONCE into P
-   partitions (P ≈ cluster task slots, NOT key cardinality)
-3. inside each bucket run **vectorized pandas** (groupby-agg,
-   drop_duplicates, sort+head) over the whole partition at once.
+1. materialize the input ONCE and take its block refs;
+2. per input block: ``bucket = stable_hash(key) % P`` (vectorized), sort the
+   rows by bucket and slice them into P sub-tables — every row moves ONCE
+   into P partitions (P ≈ cluster task slots, NOT key cardinality);
+3. per bucket: concatenate its slices and run **vectorized pandas**
+   (groupby-agg, drop_duplicates, sort+head) over the whole bucket at once.
 
 Per-group Python overhead is paid P times instead of |keys| times. Skewed
 keys still land whole in one bucket — callers with known-hot keys salt them
-first (see blocking.py).
+first (see blocking.py). Each exchange is a pipeline breaker, so it runs
+its lazy input exactly once: the block refs come from one ``materialize``,
+never from ``to_arrow_refs`` (which in Ray 2.49 runs part of the plan a
+second time to fetch the schema, and converts pandas blocks in extra tasks).
 
 How many buckets. An explicit ``num_buckets`` is always used as given;
 otherwise :func:`default_num_buckets`, two per CPU. Every bucket costs a
@@ -47,8 +53,6 @@ import pyarrow as pa
 
 from ..functions.hashing import stable_hash64
 
-BUCKET_COL = "_bucket"
-
 #: ceiling on driver-held object refs per exchange (split outputs =
 #: n_split_tasks x num_buckets). Each ref costs ~KB of driver metadata, so
 #: 2^20 refs ~ a GB-scale driver dict — the knee where ref bookkeeping
@@ -68,6 +72,19 @@ def _group_refs(block_refs: list, num_buckets: int) -> list[list]:
         return [[r] for r in block_refs]
     g = -(-len(block_refs) // n_groups_cap)
     return [block_refs[i : i + g] for i in range(0, len(block_refs), g)]
+
+
+def _materialized_blocks(ds) -> tuple[list, object]:
+    """Run ``ds`` once and return its block refs (arrow or pandas blocks)
+    and its schema (``None`` when unknown). ``to_arrow_refs`` would run part
+    of a lazy plan a second time to fetch the schema. An input that is
+    already materialized is used as it is: materializing it again copies
+    its plan (~10 ms on one CPU)."""
+    from ray.data.dataset import MaterializedDataset
+
+    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    refs = [r for bundle in mat.iter_internal_ref_bundles() for r in bundle.block_refs]
+    return refs, mat.schema(fetch_if_missing=False)
 
 
 def default_num_buckets() -> int:
@@ -103,61 +120,15 @@ def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarra
     return (stable_hash64(raw) % np.uint64(num_buckets)).astype(np.int64)
 
 
-def add_bucket(ds, keys: str | list[str], num_buckets: int | None = None):
-    """Add the bucket column (vectorized stable hash of the key tuple).
-
-    Stays in PANDAS batch format deliberately: pandas-block tagged unions
-    with all-None absent-side columns keep one object dtype here, where an
-    arrow round-trip would give each side a different schema (null vs
-    typed) and break the downstream sort. (The join primitives no longer
-    come through here — bucketed_join / bucketed_anti_semi_join moved to
-    arrow-native typed-null unions on the exchange.) The hot exchange path
-    avoids the full-table conversion separately (exchange_group_apply
-    hashes only the key columns)."""
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-    keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy(deep=False)
-        df[BUCKET_COL] = _bucket_of(df, keys, num_buckets)
-        return df
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
-def bucketed_group_apply(
-    ds,
-    keys: str | list[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
-    num_buckets: int | None = None,
-):
-    """Apply ``fn`` to each hash bucket (ALL rows sharing a key land in the
-    same bucket). ``fn`` receives the whole bucket as one DataFrame and must
-    itself group by ``keys`` (vectorized: ``df.groupby``, ``drop_duplicates``,
-    ``sort_values`` + ``head``); the bucket column is already dropped.
-    """
-    keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=[BUCKET_COL]))
-
-    return (
-        add_bucket(ds, keys, num_buckets)
-        .groupby(BUCKET_COL)
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-
-
 def distinct_rows(ds, keys: str | list[str], num_buckets: int | None = None):
     """Global dedup on a key tuple: keep the first row per key (sorted by the
-    remaining columns for determinism). Replaces ``groupby(k).map_groups(head(1))``."""
+    remaining columns for determinism)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(list(df.columns)).drop_duplicates(keys)
 
-    return bucketed_group_apply(ds, keys, fn, num_buckets)
+    return exchange_group_apply(ds, keys, fn, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +198,12 @@ def grouped_aggregate(
     ds, keys: str | list[str], spec: dict, num_buckets: int | None = None
 ):
     """Distributed grouped aggregate for unbounded key cardinality:
-    per-batch partials (big shrink) → bucketed combine. Returns a Dataset."""
+    per-batch partials (big shrink) → exchange combine. Returns a Dataset."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     partials = ds.map_batches(
         lambda df: _partial_agg(df, keys, spec), batch_format="pandas"
     )
-    return bucketed_group_apply(
+    return exchange_group_apply(
         partials, keys, lambda df: _combine_agg(df, keys, spec), num_buckets
     )
 
@@ -244,20 +215,21 @@ def exchange_group_apply(
     num_buckets: int | None = None,
     fn_format: str = "pandas",
 ):
-    """Bucketed group apply via a raw-Ray two-phase HASH EXCHANGE — no sort.
-
-    Ray Data's sort-based groupby pays an O(n log n) sample+sort it doesn't
-    need for hash bucketing, scales sublinearly with CPUs, and the 2.49
-    hash-shuffle strategy hangs on map_groups. This is the classic exchange:
+    """Apply ``fn`` to each hash bucket of ``ds`` via a raw-Ray two-phase
+    HASH EXCHANGE — no sort. All rows sharing a key land in the same
+    bucket; ``fn`` receives the whole bucket as one DataFrame and must
+    itself group by ``keys`` (vectorized: ``df.groupby``,
+    ``drop_duplicates``, ``sort_values`` + ``head``). Buckets that receive
+    no rows still call ``fn``, on an empty frame.
 
       phase 1: one task per input block sorts rows by bucket id ONCE and
                slices it into ``num_buckets`` arrow sub-tables;
       phase 2: one task per bucket concatenates its slices and applies
-               ``fn`` to the whole bucket as a DataFrame.
+               ``fn`` to the whole bucket.
 
-    Same contract as :func:`bucketed_group_apply`; materializes the input
-    (it must enumerate blocks). Use for the hottest shuffles; the Dataset
-    version remains for everything modest.
+    The input is materialized once (the exchange must enumerate blocks), so
+    a lazy upstream runs exactly once per call; a caller that feeds one
+    Dataset to several exchanges materializes it first.
 
     ``fn_format="pyarrow"`` hands ``fn`` the bucket as one pyarrow Table
     (permissive-promoted concat: blocks may carry DIFFERENT column subsets,
@@ -275,11 +247,7 @@ def exchange_group_apply(
         num_buckets = default_num_buckets()
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    block_refs = ds.to_arrow_refs()
-    try:
-        schema = ds.schema(fetch_if_missing=False)
-    except Exception:  # noqa: BLE001
-        schema = None
+    block_refs, schema = _materialized_blocks(ds)
     if not block_refs or schema is None or not schema.names:
         # zero-block or schema-less input (a map over an empty dataset emits
         # one empty block with no columns): nothing to group, but consumers
@@ -338,9 +306,8 @@ def exchange_group_apply(
 
     @ray.remote(num_returns=num_buckets)
     def split(*blocks: pa.Table):
-        # to_arrow_refs can leak PANDAS blocks through unchanged when the
-        # dataset's blocks are pandas (e.g. a union of map_batches outputs
-        # whose lineage ends in a pandas stage) — normalize first
+        # materialized blocks stay PANDAS when the lineage ends in a pandas
+        # stage — convert here, inside the split task
         blocks = tuple(
             pa.Table.from_pandas(b, preserve_index=False)
             if isinstance(b, pd.DataFrame) else b
@@ -428,7 +395,7 @@ def counted_key_survivors(
     import ray
 
     nb = num_buckets or default_num_buckets()
-    refs = ds.select_columns([key]).to_arrow_refs()
+    refs, _ = _materialized_blocks(ds.select_columns([key]))
 
     @ray.remote(num_returns=nb)
     def split(*blocks: pa.Table):
@@ -499,16 +466,10 @@ def grouped_top_k(
     descending: bool = True,
     tie_cols: list[str] | None = None,
     num_buckets: int | None = None,
-    exchange: bool = False,
 ):
     """Per-key top-k (reference O1 per-entity top-k,
     /root/reference/clustering/Probabilities/clustering.py:7-27): bucket on
-    key, then ONE vectorized sort + groupby-head per bucket.
-
-    ``exchange=True`` routes through the raw hash exchange instead of Ray
-    Data's sort-based groupby — same contract, inserts a materialize
-    barrier; use in ITERATIVE callers (mutual_best_rounds) where the sort
-    path's per-round cost compounds."""
+    key, then ONE vectorized sort + groupby-head per bucket."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     tie_cols = tie_cols or []
 
@@ -518,5 +479,4 @@ def grouped_top_k(
         )
         return df.groupby(keys, sort=False, dropna=False).head(k)
 
-    apply = exchange_group_apply if exchange else bucketed_group_apply
-    return apply(ds, keys, fn, num_buckets)
+    return exchange_group_apply(ds, keys, fn, num_buckets)

@@ -7,8 +7,9 @@ Strategy selection, per the scale rules this engine is designed around:
   This is the engine's analog of the reference's id → payload ``.loc`` join
   (/root/reference/splitters/KNN-Join/splitter.py:96-103) and golden-set
   membership label (splitter.py:89-91).
-- **Both sides large**: Ray Data's hash-partitioned ``Dataset.join``
-  (Ray ≥ 2.46), partition count sized by the caller.
+- **Both sides large**: ``bucketed_join`` — a tagged union of both sides
+  through one hash exchange on the key (``groupby.exchange_group_apply``),
+  merged per bucket. Ray Data's ``Dataset.join`` is not used.
 """
 
 from __future__ import annotations
@@ -119,33 +120,6 @@ class BroadcastHashJoin:
             small = ray.get(self._ref) if isinstance(self._ref, ray.ObjectRef) else self._ref
             self._small = small
         return batch.merge(self._small, on=self.on, how=self.how)
-
-
-def dataset_hash_join(
-    left,
-    right,
-    on: str | tuple[str, ...],
-    *,
-    how: str = "inner",
-    num_partitions: int = 16,
-    right_on: str | tuple[str, ...] | None = None,
-    left_suffix: str | None = None,
-    right_suffix: str | None = "_r",
-):
-    """Large-large hash join via ``Dataset.join`` (both sides shuffled on key)."""
-    on_t = (on,) if isinstance(on, str) else tuple(on)
-    r_on = None
-    if right_on is not None:
-        r_on = (right_on,) if isinstance(right_on, str) else tuple(right_on)
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=on_t,
-        right_on=r_on,
-        left_suffix=left_suffix,
-        right_suffix=right_suffix,
-    )
 
 
 def _project_typed(t: pa.Table, cols: list[str], types: dict) -> pa.Table:

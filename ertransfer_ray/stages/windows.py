@@ -2,8 +2,8 @@
 
 Ray Data is a batch engine (the reference is batch-only too, SURVEY §2.9);
 stream-shaped workloads are expressed as: compute the window id per batch
-(vectorized timestamp floor — no shuffle), then aggregate with the bucketed
-grouped primitives (see groupby.py for why builtin ``aggregate`` is avoided).
+(vectorized timestamp floor — no shuffle), then aggregate on the hash
+exchange (see groupby.py for why builtin ``aggregate`` is avoided).
 Sessionization shuffles each key's events into one hash bucket and windows
 them with one vectorized pandas pass — the documented partitioning contract.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .groupby import bucketed_group_apply, grouped_aggregate
+from .groupby import exchange_group_apply, grouped_aggregate
 
 _UNIT = {"1h": "h", "1d": "D", "1min": "min", "30min": "30min"}
 
@@ -155,7 +155,7 @@ def sessionize(
         )
         return out.reset_index(drop=True)
 
-    return bucketed_group_apply(ds.select_columns([key_col, ts_col]), key_col, per_bucket)
+    return exchange_group_apply(ds.select_columns([key_col, ts_col]), key_col, per_bucket)
 
 
 def global_histogram(
@@ -232,11 +232,11 @@ def grouped_quantiles(
 ):
     """Exact per-group quantiles with linear interpolation — the same
     definition as ANSI ``quantile_cont`` / ``percentile_cont``, so the
-    result is SQL-oracle-checkable. Hash-bucket on the group key, then ONE
-    vectorized pandas groupby-quantile per bucket.
+    result is SQL-oracle-checkable. One hash exchange on the group key, then
+    ONE vectorized pandas groupby-quantile per bucket.
 
     Contract: every group lands whole in one bucket (the
-    bucketed_group_apply shape), so a single group must fit a worker; for
+    exchange_group_apply shape), so a single group must fit a worker; for
     one unbounded group use ``global_histogram``'s mergeable counts
     instead — exact quantiles of one giant group don't decompose.
     Output columns: (key_col, q50, q90, ... one per requested quantile).
@@ -252,7 +252,7 @@ def grouped_quantiles(
         g.columns = cols
         return g.reset_index()
 
-    return bucketed_group_apply(
+    return exchange_group_apply(
         ds.select_columns([key_col, value_col]), key_col, per_bucket, num_buckets
     )
 
@@ -293,8 +293,6 @@ def grouped_approx_quantiles(
     excluded (quantile_cont semantics); a constant group answers its
     value at every q. Output: (key_col, n, q50_approx, ... one per q)."""
     import pyarrow.compute as pc
-
-    from .groupby import exchange_group_apply, grouped_aggregate
 
     cols = [quantile_col_name(q) + "_approx" for q in qs]
     if len(set(cols)) != len(cols):

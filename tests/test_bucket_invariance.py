@@ -4,6 +4,8 @@ Every primitive runs at 1, 3 and 16 buckets and at the default count
 (``num_buckets=None``, two per CPU), and must give the same sorted output
 each time."""
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -12,7 +14,10 @@ import ray.data as rd
 
 from ertransfer_ray.stages import groupby as gb
 from ertransfer_ray.stages.blocking import generate_pairs
+from ertransfer_ray.stages.clustering import reciprocal_top1
+from ertransfer_ray.stages.dedup import exact_dedup_summary
 from ertransfer_ray.stages.joins import bucketed_anti_semi_join, bucketed_join
+from ertransfer_ray.stages.windows import grouped_quantiles, sessionize
 
 BUCKETS = [1, 3, 16, None]
 
@@ -63,7 +68,56 @@ def _anti_semi(anti):
 
 def _top_k(nb):
     return gb.grouped_top_k(_ds(_frame(400, 41, 5)), "k", "x", k=2,
-                            tie_cols=["s"], num_buckets=nb, exchange=True)
+                            tie_cols=["s"], num_buckets=nb)
+
+
+def _distinct(nb):
+    return gb.distinct_rows(_ds(_frame(400, 37, 8)), ["k", "s"], num_buckets=nb)
+
+
+def _aggregate(nb):
+    df = _frame(400, 37, 9).assign(f=lambda d: d["x"] * 0.5)
+    spec = {"n": (None, "count"), "sx": ("x", "sum"), "mf": ("f", "mean")}
+    return gb.grouped_aggregate(_ds(df), "k", spec, num_buckets=nb)
+
+
+def _events(n: int, seed: int) -> pd.DataFrame:
+    df = _frame(n, 23, seed)
+    minutes = np.random.default_rng(seed).integers(0, 600, n)
+    return df.assign(ts=pd.Timestamp("2024-01-01") + pd.to_timedelta(minutes, unit="min"))
+
+
+def _sessionize(nb):
+    # sessionize takes its bucket count from default_num_buckets
+    with _default_buckets(nb):
+        return sessionize(_ds(_events(400, 10)), ts_col="ts", key_col="k").materialize()
+
+
+def _quantiles(nb):
+    return grouped_quantiles(_ds(_frame(400, 37, 11)), "k", "x", num_buckets=nb)
+
+
+def _predictions(n: int, seed: int) -> pd.DataFrame:
+    rng = np.random.default_rng(seed)
+    return pd.DataFrame({
+        "left_url": [f"l{v:02d}" for v in rng.integers(0, 60, n)],
+        "right_url": [f"r{v:02d}" for v in rng.integers(0, 60, n)],
+        "prob": np.round(rng.random(n), 1),  # coarse: many ties
+    }).drop_duplicates(["left_url", "right_url"])
+
+
+def _reciprocal(nb):
+    with _default_buckets(nb):
+        return reciprocal_top1(_ds(_predictions(500, 12)), theta=0.2).materialize()
+
+
+@contextlib.contextmanager
+def _default_buckets(nb):
+    """For ops that take no num_buckets: pin the default count instead."""
+    with pytest.MonkeyPatch.context() as mp:
+        if nb is not None:
+            mp.setattr(gb, "default_num_buckets", lambda: nb)
+        yield
 
 
 def _survivors(nb):
@@ -85,14 +139,42 @@ def _pairs(nb):
 
 @pytest.mark.parametrize("run", [
     _exchange, _join("inner"), _join("left"), _anti_semi(True), _anti_semi(False),
-    _top_k, _survivors, _pairs,
+    _top_k, _survivors, _pairs, _distinct, _aggregate, _sessionize, _quantiles,
+    _reciprocal,
 ], ids=["exchange_group_apply", "join_inner", "join_left", "anti_join", "semi_join",
-        "grouped_top_k", "counted_key_survivors", "generate_pairs"])
+        "grouped_top_k", "counted_key_survivors", "generate_pairs", "distinct_rows",
+        "grouped_aggregate", "sessionize", "grouped_quantiles", "reciprocal_top1"])
 def test_same_output_at_any_bucket_count(run):
     outs = [_sorted(run(nb)) for nb in BUCKETS]
     assert len(outs[0]) > 0
     for nb, out in zip(BUCKETS[1:], outs[1:]):
         pd.testing.assert_frame_equal(out, outs[0], obj=f"num_buckets={nb}")
+
+
+_GROUPED_OPS = {
+    "distinct_rows": lambda ds: gb.distinct_rows(ds, ["k", "s"]),
+    "grouped_aggregate": lambda ds: gb.grouped_aggregate(
+        ds, "k", {"n": (None, "count"), "sx": ("x", "sum"), "mx": ("x", "mean")}
+    ),
+    "grouped_top_k": lambda ds: gb.grouped_top_k(ds, "k", "x", tie_cols=["s"]),
+    "sessionize": lambda ds: sessionize(ds, ts_col="ts", key_col="k"),
+    "grouped_quantiles": lambda ds: grouped_quantiles(ds, "k", "x"),
+    "reciprocal_top1": reciprocal_top1,
+    "exact_dedup_summary": lambda ds: exact_dedup_summary(ds, "x", "s"),
+}
+
+
+@pytest.mark.parametrize("empty", ["zero_rows", "schemaless_block"])
+@pytest.mark.parametrize("op", sorted(_GROUPED_OPS))
+def test_grouped_op_on_empty_input(op, empty):
+    """Zero rows with a schema, and the schema-less empty block that a map
+    over an empty dataset emits, both give an empty result."""
+    df = pd.concat([_events(40, 13), _predictions(40, 14)], axis=1)
+    if empty == "zero_rows":
+        ds = rd.from_pandas(df).map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    else:
+        ds = rd.from_pandas(df.iloc[:0]).map_batches(lambda b: b, batch_format="pandas")
+    assert _GROUPED_OPS[op](ds).count() == 0
 
 
 def test_default_num_buckets_is_two_per_cpu(ray_session):

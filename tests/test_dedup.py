@@ -39,6 +39,23 @@ def test_exact_dedup_summary():
     assert out[out["keep_id"] == 1]["dup_count"].iloc[0] == 2
 
 
+def test_exact_dedup_summary_ships_no_text(monkeypatch):
+    """The summary's exchange carries only the id and the content hash."""
+    from ertransfer_ray.stages import dedup
+
+    seen = []
+    real = dedup.exchange_group_apply
+
+    def spy(ds, *args, **kwargs):
+        seen.append(ds.schema().names)
+        return real(ds, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "exchange_group_apply", spy)
+    out = exact_dedup_summary(_docs(), "doc_id").to_pandas()
+    assert len(out) == 4
+    assert seen and all("text" not in names for names in seen), seen
+
+
 def test_minhash_lsh_finds_near_dups():
     pairs = minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4).to_pandas()
     got = set(zip(pairs["left_id"], pairs["right_id"]))

@@ -1,10 +1,12 @@
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 from ertransfer_ray.stages.groupby import (
-    bucketed_group_apply,
+    counted_key_survivors,
     distinct_rows,
+    exchange_group_apply,
     grouped_aggregate,
     grouped_top_k,
     partial_aggregate,
@@ -87,7 +89,7 @@ def test_bucketed_apply_key_colocation():
     def count_rows(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("k2", as_index=False).agg(n=("v", "size"))
 
-    out = bucketed_group_apply(ds, "k2", count_rows, num_buckets=7).to_pandas()
+    out = exchange_group_apply(ds, "k2", count_rows, num_buckets=7).to_pandas()
     # one output row per key → no key split across buckets
     assert out["k2"].is_unique
     assert out["n"].sum() == 500
@@ -121,3 +123,29 @@ def test_exchange_grouped_split_matches_ungrouped(monkeypatch):
     monkeypatch.setattr(gb, "MAX_EXCHANGE_REFS", 1)
     surv2 = gb.counted_key_survivors(ds, "k2", 5, 10_000, min_count=2)
     assert sorted(surv.to_pylist()) == sorted(surv2.to_pylist())
+
+
+@pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("op", ["exchange_group_apply", "counted_key_survivors"])
+def test_exchange_reads_its_input_once(tmp_path, op, fmt):
+    """An exchange is a pipeline breaker: a lazy upstream must run once.
+    Every batch the upstream emits appends its row count to a file, and
+    the total must equal the input's row count."""
+    df = pd.DataFrame({"k": np.arange(1000) % 37, "v": np.arange(1000)})
+    log = tmp_path / "rows.log"
+
+    def counted(batch):
+        with open(log, "a") as f:
+            f.write(f"{len(batch)}\n")
+        return batch
+
+    lazy = rd.from_pandas(df).repartition(4).map_batches(counted, batch_format=fmt)
+    if op == "exchange_group_apply":
+        out = exchange_group_apply(
+            lazy, "k", lambda d: d.groupby("k", as_index=False).size(), num_buckets=3
+        )
+        assert out.to_pandas()["size"].sum() == len(df)
+    else:
+        assert len(counted_key_survivors(lazy, "k", 3, 10_000)) == 37
+    rows = [int(x) for x in log.read_text().split()]
+    assert sum(rows) == len(df), rows
