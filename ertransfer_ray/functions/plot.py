@@ -1,11 +1,9 @@
-"""Dependency-free raster plotting: enough of a renderer to emit the
-reference's PNG diagnostics (probability histogram, t-SNE scatter) from a
-container with no matplotlib — the PNG bytes come from this repo's own
-encoder (functions/codecs.encode_png), so the artifacts are real PNGs.
+"""Dependency-free raster plotting: enough of a renderer, and a PNG
+encoder, to emit the reference's probability-histogram PNG from a container
+with no matplotlib, so the artifact is a real PNG.
 
-Reference parity targets:
+Reference parity target:
   - `clustering/Probabilities/entrypoint.py:108` plot_histogram -> PNG
-  - `clustering/Embeddings/embeddings.py:46-49` label-colored scatter PNG
 
 Deterministic by construction (no fonts, no locale, no backends): the same
 inputs produce byte-identical PNGs everywhere. Everything renders into a
@@ -14,9 +12,10 @@ uint8 (h, w, 3) canvas; callers pass the array to ``save_png``.
 
 from __future__ import annotations
 
-import numpy as np
+import struct
+import zlib
 
-from .codecs import encode_png
+import numpy as np
 
 # 5x7 bitmap font (rows of 5-bit patterns, MSB = leftmost pixel).
 # Lowercase + digits + the punctuation our labels use; text() lowercases.
@@ -69,7 +68,7 @@ _FONT: dict[str, tuple[int, ...]] = {
 }
 
 #: categorical series colors (RGB) — label-0 blue, label-1 orange, then
-#: green/red/purple for scatter classes beyond two
+#: green/red/purple for series beyond two
 PALETTE = (
     (31, 119, 180),
     (255, 127, 14),
@@ -112,22 +111,6 @@ class Canvas:
 
     def vline(self, x, y0, y1, color):
         self.fill_rect(x, y0, x + 1, y1, color)
-
-    def points(self, xs, ys, color, alpha: float = 1.0, size: int = 2):
-        """Square markers centered on (x, y); vectorized accumulation."""
-        xs = np.asarray(xs, np.int64)
-        ys = np.asarray(ys, np.int64)
-        half = size // 2
-        mask = np.zeros((self.h, self.w), bool)
-        for dy in range(-half, size - half):
-            for dx in range(-half, size - half):
-                px = xs + dx
-                py = ys + dy
-                ok = (px >= 0) & (px < self.w) & (py >= 0) & (py < self.h)
-                mask[py[ok], px[ok]] = True
-        c = np.asarray(color, np.float64)
-        base = self.img[mask].astype(np.float64)
-        self.img[mask] = (base * (1 - alpha) + c * alpha).astype(np.uint8)
 
     def text(self, x, y, s, color=(0, 0, 0), scale: int = 1):
         """Render ``s`` (lowercased; unknown chars become spaces) with the
@@ -242,42 +225,32 @@ def bar_chart(
     return cv.img
 
 
-def scatter(
-    xy: np.ndarray,
-    labels: np.ndarray | None = None,
-    width: int = 640,
-    height: int = 480,
-    alpha: float = 0.5,
-) -> np.ndarray:
-    """Label-colored scatter (the reference's scatter_TSNE2d.png shape)."""
-    xy = np.asarray(xy, np.float64)
-    cv = Canvas(width, height)
-    if xy.size == 0:
-        return cv.img
-    x_lo, x_hi = float(xy[:, 0].min()), float(xy[:, 0].max())
-    y_lo, y_hi = float(xy[:, 1].min()), float(xy[:, 1].max())
-    pad_x = (x_hi - x_lo) * 0.05 or 1.0
-    pad_y = (y_hi - y_lo) * 0.05 or 1.0
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-    x_ticks = [(v, _fmt(v)) for v in np.linspace(x_lo, x_hi, 5)]
-    y_ticks = [(v, _fmt(v)) for v in np.linspace(y_lo, y_hi, 5)]
-    to_px, to_py = _axes(cv, x_lo, x_hi, y_lo, y_hi, y_ticks, x_ticks)
-    if labels is None:
-        labels = np.zeros(len(xy), np.int64)
-    labels = np.asarray(labels)
-    for i, lab in enumerate(np.unique(labels)):
-        m = labels == lab
-        color = PALETTE[i % len(PALETTE)]
-        cv.points(
-            np.rint(to_px(xy[m, 0])), np.rint(to_py(xy[m, 1])), color, alpha=alpha
-        )
-        ly = _MARGIN_T + 2 + i * 12
-        cv.fill_rect(cv.w - 70, ly, cv.w - 58, ly + 8, color, alpha=alpha)
-        cv.text(cv.w - 54, ly, str(lab))
-    return cv.img
+def encode_png(img: np.ndarray) -> bytes:
+    """Encode a uint8 ``(h, w, 3)`` RGB canvas as an 8-bit PNG. Every
+    scanline uses the Up filter (each byte minus the one above it), which
+    turns a chart's repeated rows into zeros for zlib."""
+    img = np.ascontiguousarray(img, np.uint8)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ValueError(f"expected an (h, w, 3) image, got shape {img.shape}")
+    h, w = img.shape[:2]
+    rows = img.reshape(h, w * 3)
+    up = np.diff(rows, axis=0, prepend=np.zeros((1, w * 3), np.uint8))
+    lines = np.hstack([np.full((h, 1), 2, np.uint8), up])
+
+    def chunk(ctype: bytes, body: bytes) -> bytes:
+        crc = zlib.crc32(ctype + body) & 0xFFFFFFFF
+        return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)  # depth 8, color type RGB
+    idat = zlib.compress(lines.tobytes())
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", ihdr)
+        + chunk(b"IDAT", idat)
+        + chunk(b"IEND", b"")
+    )
 
 
 def save_png(path: str, img: np.ndarray) -> None:
     with open(path, "wb") as f:
-        f.write(encode_png(img, filter_type=2))
+        f.write(encode_png(img))

@@ -39,6 +39,7 @@ from ..stages.dedup import (
 )
 from ..stages.groupby import (
     distinct_rows,
+    empty_frame,
     grouped_aggregate,
     grouped_top_k,
     partial_aggregate,
@@ -58,6 +59,13 @@ def _r(x, n: int):
     if isinstance(x, pd.Series):
         return pd.Series(out, index=x.index)
     return out
+
+
+def _pandas(ds) -> pd.DataFrame:
+    """``ds.to_pandas()`` that keeps a zero-row result's columns: Ray Data
+    builds the frame from the non-empty batches only, so it has none."""
+    df = ds.to_pandas()
+    return df if len(df.columns) else empty_frame(ds.schema())
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -230,7 +238,7 @@ def q_top1_order_per_customer(sf_dir: str) -> pd.DataFrame:
 
 def q_hourly_event_stats(sf_dir: str) -> pd.DataFrame:
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"])
-    out = tumbling_window_agg(ev, "ts", "event_type", "value", "1h").to_pandas()
+    out = _pandas(tumbling_window_agg(ev, "ts", "event_type", "value", "1h"))
     out["sum_value"] = _r(out["sum_value"], 3)
     return _us(out, ["window_start"]).sort_values(
         ["event_type", "window_start"], ignore_index=True
@@ -243,7 +251,7 @@ def q_sliding_user_windows(sf_dir: str) -> pd.DataFrame:
     from ..stages.windows import sliding_window_agg
 
     ev = _read(sf_dir, "events", ["ts", "user_id", "value"])
-    out = sliding_window_agg(ev, "ts", "user_id", "value", "1h", "30min").to_pandas()
+    out = _pandas(sliding_window_agg(ev, "ts", "user_id", "value", "1h", "30min"))
     out["sum_value"] = _r(out["sum_value"], 3)
     return _us(out, ["window_start"]).sort_values(
         ["user_id", "window_start"], ignore_index=True
@@ -276,7 +284,7 @@ def q_union_distinct_custkeys(sf_dir: str) -> pd.DataFrame:
 
 def q_user_sessions(sf_dir: str) -> pd.DataFrame:
     ev = _read(sf_dir, "events", ["ts", "user_id"])
-    out = sessionize(ev, "ts", "user_id", gap="30min").to_pandas()
+    out = _pandas(sessionize(ev, "ts", "user_id", gap="30min"))
     return _us(out, ["session_start", "session_end"]).sort_values(
         ["user_id", "session_start"], ignore_index=True
     )
@@ -433,7 +441,7 @@ def q_doc_lang_counts(sf_dir: str) -> pd.DataFrame:
 def q_exact_dedup_docs(sf_dir: str) -> pd.DataFrame:
     """D1 exact dedup summary: (keep_id, dup_count) per distinct text."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = exact_dedup_summary(docs, "doc_id", "text").to_pandas()
+    out = _pandas(exact_dedup_summary(docs, "doc_id", "text"))
     return out.sort_values("keep_id", ignore_index=True)
 
 

@@ -36,6 +36,11 @@ import pyarrow.compute as pc
 # D4: reciprocal top-1
 # ---------------------------------------------------------------------------
 
+_EDGE_SCHEMA = pa.schema(
+    [("left_url", pa.string()), ("right_url", pa.string()), ("prob", pa.float64())]
+)
+
+
 def reciprocal_top1(predictions_ds, theta: float = 0.5):
     """D4: pairs that are top-1 for BOTH endpoints, above θ.
 
@@ -78,6 +83,10 @@ def reciprocal_top1(predictions_ds, theta: float = 0.5):
     )
 
     def intersect(df: pd.DataFrame) -> pd.DataFrame:
+        if df.columns.empty:
+            # no pair above theta: the exchange hands over a frame with no
+            # columns, and the result keeps the edge columns
+            return _EDGE_SCHEMA.empty_table()
         l = df[df["side"] == 0]
         r = df[df["side"] == 1]
         return l.merge(r[["left_url", "right_url"]], on=["left_url", "right_url"])[

@@ -694,6 +694,8 @@ def exact_dedup_summary(ds, id_col: str, text_col: str = "text"):
     )
 
     def summarize(df: pd.DataFrame) -> pd.DataFrame:
+        if df.columns.empty:  # a zero-row input reaches the exchange without columns
+            df = pd.DataFrame(columns=[id_col, "content_hash"])
         return df.groupby("content_hash", as_index=False, sort=False).agg(
             keep_id=(id_col, "min"), dup_count=(id_col, "size")
         )[["keep_id", "dup_count"]]

@@ -203,8 +203,31 @@ def grouped_aggregate(
     partials = ds.map_batches(
         lambda df: _partial_agg(df, keys, spec), batch_format="pandas"
     )
-    return exchange_group_apply(
-        partials, keys, lambda df: _combine_agg(df, keys, spec), num_buckets
+    in_cols = [c for c, _ in spec.values() if c is not None]
+
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        # a zero-row input reaches the combine with no columns (its partial
+        # map emits no block): aggregate an empty frame of the input columns
+        # instead, so the result still has the keys and every spec column
+        if df.columns.empty:
+            empty = pd.DataFrame(columns=list(dict.fromkeys(keys + in_cols)))
+            df = _partial_agg(empty, keys, spec)
+        return _combine_agg(df, keys, spec)
+
+    return exchange_group_apply(partials, keys, combine, num_buckets)
+
+
+def empty_frame(schema) -> pd.DataFrame:
+    """A zero-row frame with the columns and types of a Dataset ``schema``
+    (Arrow or pandas blocks); no columns when ``schema`` is None."""
+    if schema is None or not schema.names:
+        return pd.DataFrame()
+    arrow_schema = getattr(schema, "base_schema", schema)
+    if isinstance(arrow_schema, pa.Schema):
+        return arrow_schema.empty_table().to_pandas()
+    # pandas-block schema: names + numpy dtypes
+    return pd.DataFrame(
+        {n: pd.Series([], dtype=t) for n, t in zip(schema.names, schema.types)}
     )
 
 
@@ -256,19 +279,7 @@ def exchange_group_apply(
         # whatever schema exists, exactly as apply_bucket does for all-empty
         # buckets. Fall back to the input only if fn can't cope.
         try:
-            if schema is not None and schema.names:
-                arrow_schema = getattr(schema, "base_schema", schema)
-                if isinstance(arrow_schema, pa.Schema):
-                    base = arrow_schema.empty_table().to_pandas()
-                else:  # pandas-block schema: names + numpy dtypes
-                    base = pd.DataFrame(
-                        {
-                            n: pd.Series([], dtype=t)
-                            for n, t in zip(schema.names, schema.types)
-                        }
-                    )
-            else:
-                base = pd.DataFrame()
+            base = empty_frame(schema)
             if fn_format == "pyarrow":
                 out = fn(pa.Table.from_pandas(base, preserve_index=False))
             else:

@@ -141,6 +141,8 @@ def sessionize(
     g = pd.Timedelta(gap)
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        if df.columns.empty:  # a zero-row input reaches the exchange without columns
+            df = pd.DataFrame(columns=[key_col, ts_col])
         df = df.sort_values([key_col, ts_col])
         new_key = df[key_col] != df[key_col].shift()
         gap_break = df[ts_col].diff() > g

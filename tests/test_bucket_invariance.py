@@ -9,6 +9,7 @@ import contextlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -164,17 +165,54 @@ _GROUPED_OPS = {
 }
 
 
+#: each op's result columns; None where the op passes its input's through
+_RESULT_COLUMNS = {
+    "distinct_rows": None,
+    "grouped_aggregate": ["k", "n", "sx", "mx"],
+    "grouped_top_k": None,
+    "sessionize": ["k", "session_start", "session_end", "n_events"],
+    "grouped_quantiles": ["k", "q50", "q90", "q99"],
+    "reciprocal_top1": ["left_url", "right_url", "prob"],
+    "exact_dedup_summary": ["keep_id", "dup_count"],
+}
+
+
 @pytest.mark.parametrize("empty", ["zero_rows", "schemaless_block"])
 @pytest.mark.parametrize("op", sorted(_GROUPED_OPS))
 def test_grouped_op_on_empty_input(op, empty):
     """Zero rows with a schema, and the schema-less empty block that a map
-    over an empty dataset emits, both give an empty result."""
+    over an empty dataset emits, both give an empty result with the
+    result's columns (a schema-less input has none to pass through)."""
     df = pd.concat([_events(40, 13), _predictions(40, 14)], axis=1)
     if empty == "zero_rows":
         ds = rd.from_pandas(df).map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
     else:
         ds = rd.from_pandas(df.iloc[:0]).map_batches(lambda b: b, batch_format="pandas")
-    assert _GROUPED_OPS[op](ds).count() == 0
+    out = _GROUPED_OPS[op](ds)
+    assert out.count() == 0
+    expected = _RESULT_COLUMNS[op]
+    if expected is None:
+        expected = list(df.columns) if empty == "zero_rows" else []
+    schema = out.schema()
+    assert (schema.names if schema is not None else []) == expected
+
+
+def test_window_query_on_empty_events(tmp_path):
+    """A zero-row events table gives an empty hourly table with its columns
+    (the aggregate's result columns survive to the query's frame)."""
+    from ertransfer_ray.pipelines.queries import q_hourly_event_stats
+
+    pq.write_table(
+        pa.table({
+            "ts": pa.array([], pa.timestamp("us")),
+            "event_type": pa.array([], pa.string()),
+            "value": pa.array([], pa.float64()),
+        }),
+        tmp_path / "events.parquet",
+    )
+    out = q_hourly_event_stats(str(tmp_path))
+    assert len(out) == 0
+    assert list(out.columns) == ["event_type", "window_start", "n_events", "sum_value"]
 
 
 def test_default_num_buckets_is_two_per_cpu(ray_session):

@@ -19,11 +19,6 @@ Both must return the identical certified top-10.
 
 Each arm runs in a fresh subprocess with its own ray.init(num_cpus=N).
 
-Experiment C — BPE tokenizer training (`bpe_train` arm): end-to-end on
-the 1.6M-doc expanded corpus (count exchange dominates) and the split
-count-vs-merge timing on the ~10^6-distinct-term Zipf table (the merge
-loop is word-table-bounded, corpus-independent).
-
 Usage:
   python tools/bench_sketchgates.py             # all arms at 32 CPUs
   python tools/bench_sketchgates.py --arm decontam_bloom 32
@@ -213,32 +208,6 @@ def run_arm(arm: str, num_cpus: int) -> None:
         out.update(docs=n_docs, day1_survivors=d1, day1_sec=day1_s,
                    day2_survivors=d2, day2_sec=day2_s)
 
-    elif arm == "bpe_train":
-        from ertransfer_ray.stages.bpe import train_bpe, word_counts
-
-        def corpus():
-            return rd.read_parquet(DOCS, columns=["text"])
-
-        n_docs = corpus().count()
-        t0 = time.perf_counter()
-        wc = word_counts(corpus())
-        t1 = time.perf_counter()
-        merges, _ = train_bpe(wc, num_merges=500)
-        expanded_sec = round(time.perf_counter() - t0, 2)
-        out["expanded"] = {
-            "docs": n_docs, "distinct_words": len(wc),
-            "count_sec": round(t1 - t0, 2), "total_sec": expanded_sec,
-            "merges": len(merges), "docs_per_s": round(n_docs / expanded_sec),
-        }
-        # adversarial vocabulary: the Zipf corpus's ~10^6 distinct terms
-        t0 = time.perf_counter()
-        wz = word_counts(rd.read_parquet(ZIPF_DIR, columns=["text"]))
-        t1 = time.perf_counter()
-        mz, _ = train_bpe(wz, num_merges=500)
-        out["zipf"] = {
-            "distinct_words": len(wz), "count_sec": round(t1 - t0, 2),
-            "merge_sec": round(time.perf_counter() - t1, 2), "merges": len(mz),
-        }
     else:
         raise SystemExit(f"unknown arm {arm}")
 
@@ -254,7 +223,7 @@ def main() -> None:
     build_corpora()
     cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
     for arm in ("decontam_broadcast", "decontam_join", "decontam_bloom",
-                "topterms_exact", "topterms_mg", "bpe_train",
+                "topterms_exact", "topterms_mg",
                 "incexact_auto", "incexact_bloom"):
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--arm", arm, str(cpus)],
