@@ -1,15 +1,14 @@
-"""Pure-stdlib media codecs: PNG + JPEG + BMP images, WAV audio.
+"""Pure-stdlib media codecs: PNG + BMP images, WAV audio.
 
 The container ships no codec libraries (no PIL/cv2/soundfile/ffmpeg), but
-PNG is just zlib (stdlib) + per-row unfiltering, baseline JPEG is numpy
-DCT + a Python Huffman layer (``functions/jpeg.py``, re-exported here),
-BMP 24-bit is raw bytes, and WAV reads with the stdlib ``wave`` module —
-so the multimodal decode stages (stages/multimodal.py) can run REAL
-decodes for these formats instead of the deterministic fakes. A
-production deployment would swap these for a SIMD codec in the actor
-``__init__``; the numpy forms here are correct (round-trip
-property-tested against our own encoders, PNG unfiltering covers all
-five filter types, JPEG PSNR-bounded) and adequate for moderate sizes.
+PNG is just zlib (stdlib) + per-row unfiltering, BMP 24-bit is raw bytes,
+and WAV reads with the stdlib ``wave`` module. The numpy forms here are
+correct (round-trip property-tested against our own encoders, PNG
+unfiltering covers all five filter types) and adequate for moderate sizes.
+
+No query, pipeline stage, CLI command or benchmark calls this module; it
+stays until a later change deletes it (ROADMAP item 9). The clustering
+report's PNG comes from ``functions/plot.encode_png``.
 
 All decoders take ``bytes`` and return numpy arrays; all are deterministic
 pure functions — safe in any Ray task/actor.
@@ -23,9 +22,6 @@ import wave
 import zlib
 
 import numpy as np
-
-from .gif import decode_gif, encode_gif  # noqa: F401  (codec family API)
-from .jpeg import decode_jpeg, encode_jpeg  # noqa: F401  (codec family API)
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 #: PNG color type -> channel count (bit depth 8 only)

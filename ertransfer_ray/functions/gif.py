@@ -1,7 +1,7 @@
 """Pure-Python GIF87a/89a codec (LZW) for the stdlib-only codec family.
 
 GIFs are still a meaningful slice of crawled web images; like the PNG/BMP
-/JPEG siblings this is public-spec only (GIF89a specification + the LZW
+siblings in ``functions/codecs`` this is public-spec only (GIF89a specification + the LZW
 variable-code-width scheme it mandates).
 
 - :func:`decode_gif` reads the FIRST image frame (the still-image case;
@@ -17,8 +17,10 @@ variable-code-width scheme it mandates).
   because the encoder builds the exact palette when it fits.
 
 The LZW layers run on Python ints over bytearrays — GIF rasters in crawl
-thumbnails are small, and corpus-scale parallelism is across images in
-the DecodeImage actor pool (same cost model as ``functions/jpeg``).
+thumbnails are small, and corpus-scale parallelism would be across images.
+
+No query, pipeline stage, CLI command or benchmark calls this module; it
+stays until a later change deletes it (ROADMAP item 9).
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ structure, the budget break, the DISTRIBUTED evaluation of predictions,
 and the artifact formats — is an engine concern and is implemented here.
 ``train_step`` is caller-provided (tests drive it with a deterministic
 fake, the same stance as the scorer-weight artifacts in stages/scoring).
+
+No query, pipeline stage, CLI command or benchmark calls this module; it
+stays until a later change deletes it (ROADMAP item 9).
 """
 
 from __future__ import annotations

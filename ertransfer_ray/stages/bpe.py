@@ -17,6 +17,9 @@ that table with incremental pair-count maintenance, independent of corpus
 size. Word counts are exact at any parallelism, and every tie in the
 merge argmax breaks deterministically (count desc, then lexicographic
 pair), so the learned vocabulary is parallelism-invariant.
+
+No query, pipeline stage, CLI command or benchmark calls this module; it
+stays until a later change deletes it (ROADMAP item 9).
 """
 
 from __future__ import annotations

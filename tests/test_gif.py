@@ -149,36 +149,6 @@ def test_animation_transparency_mask():
     assert (f[1][1:4, 0:4] == [255, 0, 0]).all()
 
 
-def test_frame_sampler_real_gif():
-    """FrameSampler(fake=False): animated GIF in, k evenly spaced
-    PNG-encoded composited frames out; non-GIF rows skipped."""
-    import pyarrow as pa
-
-    from ertransfer_ray.functions.codecs import decode_png
-    from ertransfer_ray.functions.gif import encode_gif_animation
-    from ertransfer_ray.stages.multimodal import FrameSampler
-
-    frames = [
-        {"img": np.full((8, 8, 3), 30 * i, np.uint8), "disposal": 1}
-        for i in range(6)
-    ]
-    gif = encode_gif_animation(frames)
-    batch = pa.table(
-        {
-            "url": pa.array(["http://a/anim.gif", "http://a/not-video"]),
-            "mime": pa.array(["image/gif", "application/octet-stream"]),
-            "payload": pa.array([gif, b"junk"], pa.binary()),
-        }
-    )
-    out = FrameSampler(k=3, fake=False)(batch)
-    assert out.num_rows == 3  # junk skipped
-    rows = out.to_pylist()
-    assert [r["frame_index"] for r in rows] == [0, 1, 2]
-    imgs = [decode_png(r["frame_payload"]) for r in rows]
-    # evenly spaced across 6 frames: 0, ~2.5, 5 -> values 0, 60|90, 150
-    assert (imgs[0] == 0).all() and (imgs[2] == 150).all()
-
-
 def test_sniff_and_errors():
     from ertransfer_ray.functions.codecs import sniff_mime
 
@@ -215,23 +185,3 @@ def test_corrupt_lzw_first_code_raises_valueerror():
         _lzw_decode(b"\x07", 2, 10)  # out-of-table first code
     with pytest.raises(ValueError):
         _lzw_decode(b"\x00", 200, 10)  # absurd min code size
-
-
-def test_decode_image_stage_handles_gif():
-    import pyarrow as pa
-
-    from ertransfer_ray.stages.multimodal import DecodeImage
-
-    img = _paletted((12, 20), 9)
-    batch = pa.table(
-        {
-            "url": pa.array(["http://a/x.gif"]),
-            "mime": pa.array(["image/gif"]),
-            "payload": pa.array([encode_gif(img)], pa.binary()),
-        }
-    )
-    out = DecodeImage(fake=False)(batch)
-    assert out.num_rows == 1
-    row = out.to_pylist()[0]
-    assert row["mime"] == "image/gif"
-    assert (row["height"], row["width"]) == (12, 20)

@@ -31,6 +31,12 @@ UNREACHED_ON_PURPOSE = {
     f"{PACKAGE}.stages.incremental",
     # SURVEY row M15 maps it to the reference's pair tokenizer
     f"{PACKAGE}.functions.lm_tokenize",
+    # dead code whose deletion waits for a later change, so that no single
+    # change removes the tests of every dead module at once (ROADMAP item 9)
+    f"{PACKAGE}.functions.codecs",
+    f"{PACKAGE}.functions.gif",
+    f"{PACKAGE}.stages.bpe",
+    f"{PACKAGE}.pipelines.epoch_metrics",
 }
 
 
