@@ -139,12 +139,12 @@ def q_top_orders(sf_dir: str) -> pd.DataFrame:
     """O2 global sort + limit, deterministic tie-break."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     top = ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
-    return top.to_pandas()
+    return _pandas(top)
 
 
 def q_customer_order_stats(sf_dir: str) -> pd.DataFrame:
     """J3 broadcast hash join (orders ⋈ customer) + grouped aggregate."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _pandas(_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
     ref = put_broadcast(cust.rename(columns={"c_custkey": "o_custkey"}))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = orders.map_batches(
@@ -163,8 +163,8 @@ def q_customer_order_stats(sf_dir: str) -> pd.DataFrame:
 
 def q_region_customer_count(sf_dir: str) -> pd.DataFrame:
     """Two chained broadcast joins (customer ⋈ nation ⋈ region) + count."""
-    nation = _read(sf_dir, "nation").to_pandas()
-    region = _read(sf_dir, "region").to_pandas()
+    nation = _pandas(_read(sf_dir, "nation"))
+    region = _pandas(_read(sf_dir, "region"))
     dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")[
         ["n_nationkey", "r_name"]
     ].rename(columns={"n_nationkey": "c_nationkey"})
@@ -188,7 +188,7 @@ def q_filter_clicks(sf_dir: str) -> pd.DataFrame:
         ).select(["event_id", "user_id", "value"]),
         batch_format="pyarrow",
     )
-    df = out.to_pandas()
+    df = _pandas(out)
     df["value"] = _r(df["value"], 3)
     return df
 
@@ -196,7 +196,7 @@ def q_filter_clicks(sf_dir: str) -> pd.DataFrame:
 def q_distinct_event_types(sf_dir: str) -> pd.DataFrame:
     """Distinct values (bucketed, not ds.unique — see groupby.py)."""
     ev = _read(sf_dir, "events", ["event_type"])
-    return distinct_rows(ev, "event_type").to_pandas().sort_values(
+    return _pandas(distinct_rows(ev, "event_type")).sort_values(
         "event_type", ignore_index=True
     )
 
@@ -209,10 +209,7 @@ def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
     out = cust.map_batches(
         BroadcastSemiJoin(ref, "c_custkey", anti=True), batch_format="pyarrow"
     )
-    df = out.to_pandas()
-    if "c_custkey" not in df.columns:  # empty result datasets lose their schema
-        df = pd.DataFrame({"c_custkey": pd.Series([], dtype="int64")})
-    return df.sort_values("c_custkey", ignore_index=True)
+    return _pandas(out).sort_values("c_custkey", ignore_index=True)
 
 
 def q_customer_order_counts(sf_dir: str) -> pd.DataFrame:
@@ -220,7 +217,7 @@ def q_customer_order_counts(sf_dir: str) -> pd.DataFrame:
     orders), unbounded key cardinality → bucketed grouped aggregate."""
     orders = _read(sf_dir, "orders", ["o_custkey"])
     out = grouped_aggregate(orders, "o_custkey", {"n_orders": (None, "count")})
-    return out.to_pandas().sort_values("o_custkey", ignore_index=True)
+    return _pandas(out).sort_values("o_custkey", ignore_index=True)
 
 
 def q_top1_order_per_customer(sf_dir: str) -> pd.DataFrame:
@@ -229,7 +226,7 @@ def q_top1_order_per_customer(sf_dir: str) -> pd.DataFrame:
     out = grouped_top_k(
         orders, "o_custkey", "o_totalprice", k=1, descending=True, tie_cols=["o_orderkey"]
     )
-    return out.to_pandas().sort_values("o_custkey", ignore_index=True)
+    return _pandas(out).sort_values("o_custkey", ignore_index=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def q_union_distinct_custkeys(sf_dir: str) -> pd.DataFrame:
         ),
         batch_format="pyarrow",
     )
-    out = distinct_rows(big_orders.union(machinery), "o_custkey").to_pandas()
+    out = _pandas(distinct_rows(big_orders.union(machinery), "o_custkey"))
     return out.rename(columns={"o_custkey": "custkey"}).sort_values(
         "custkey", ignore_index=True
     )
@@ -428,7 +425,7 @@ def q_doc_token_stats(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    return docs.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values(
+    return _pandas(docs.map_batches(fn, batch_format="pyarrow")).sort_values(
         "doc_id", ignore_index=True
     )
 
@@ -451,9 +448,9 @@ def q_ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     Fully SQL-expressible — the value-level oracle for the near-dup
     verification kernel shared with minhash_lsh_dedup_pairs."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ngram_jaccard_pairs(
+    out = _pandas(ngram_jaccard_pairs(
         docs, jaccard_threshold=0.5, max_doc_freq=50
-    ).to_pandas()
+    ))
     out["jaccard"] = _r(out["jaccard"], 6)
     return out.sort_values(["left_id", "right_id"], ignore_index=True)
 
@@ -468,10 +465,10 @@ def q_doc_pagerank(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, jaccard_threshold=0.5, max_doc_freq=50)
-    out = pagerank(
+    out = _pandas(pagerank(
         pairs, left_col="left_id", right_col="right_id",
         damping=0.85, iterations=10,
-    ).to_pandas()
+    ))
     out = out.rename(columns={"id": "doc_id"})
     out["rank"] = _r(out["rank"], 6)
     return out.sort_values("doc_id", ignore_index=True)
@@ -498,7 +495,7 @@ def q_doc_weighted_sample(sf_dir: str) -> pd.DataFrame:
         )
 
     counted = docs.map_batches(with_counts, batch_format="pyarrow")
-    out = weighted_sample_k(counted, 100, "token_count").to_pandas()
+    out = _pandas(weighted_sample_k(counted, 100, "token_count"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -511,9 +508,9 @@ def q_event_type_quantiles_approx(sf_dir: str) -> pd.DataFrame:
     from ..stages.windows import grouped_approx_quantiles
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
-    out = grouped_approx_quantiles(
+    out = _pandas(grouped_approx_quantiles(
         ev, "event_type", "value", qs=(0.5, 0.9, 0.99), bins=1024
-    ).to_pandas()
+    ))
     return out.sort_values("event_type", ignore_index=True)
 
 
@@ -527,17 +524,17 @@ def q_local_supplier_revenue(sf_dir: str) -> pd.DataFrame:
 
     from ..stages.joins import BroadcastHashJoin
 
-    region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
+    region = _pandas(_read(sf_dir, "region", ["r_regionkey", "r_name"]))
+    nation = _pandas(_read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]))
     asia = nation.merge(
         region[region["r_name"] == "ASIA"], left_on="n_regionkey",
         right_on="r_regionkey",
     )[["n_nationkey", "n_name"]]
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    orders = _read(
+    cust = _pandas(_read(sf_dir, "customer", ["c_custkey", "c_nationkey"]))
+    supp = _pandas(_read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]))
+    orders = _pandas(_read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).to_pandas()
+    ))
     orders = orders[
         (orders["o_orderdate"] >= pd.Timestamp("1996-01-01"))
         & (orders["o_orderdate"] < pd.Timestamp("1997-01-01"))
@@ -607,9 +604,9 @@ def q_lang_top_terms(sf_dir: str) -> pd.DataFrame:
         docs.map_batches(partial, batch_format="pandas"),
         ["lang", "term"], {"n": ("n", "sum")},
     )
-    top = grouped_top_k(
+    top = _pandas(grouped_top_k(
         counts, "lang", "n", k=3, descending=True, tie_cols=["term"]
-    ).to_pandas()
+    ))
     return top.sort_values(["lang", "term"], ignore_index=True)[["lang", "term", "n"]]
 
 
@@ -628,7 +625,7 @@ def q_doc_quality(sf_dir: str) -> pd.DataFrame:
         TextStats(text_col="text", fingerprint=False),
         batch_format="pyarrow", batch_size=2048,
     ).select_columns(["doc_id", "lang_pred", "token_count", "quality"])
-    df = out.to_pandas()
+    df = _pandas(out)
     df["quality"] = _r(df["quality"], 4)
     return df.sort_values("doc_id", ignore_index=True)
 
@@ -659,8 +656,7 @@ def q_doc_langid(sf_dir: str) -> pd.DataFrame:
         )
 
     return (
-        docs.map_batches(fn, batch_format="pandas")
-        .to_pandas()
+        _pandas(docs.map_batches(fn, batch_format="pandas"))
         .sort_values("doc_id", ignore_index=True)
     )
 
@@ -709,9 +705,9 @@ def q_embedding_neardup_exact(sf_dir: str) -> pd.DataFrame:
     from ..stages.dedup import embedding_neardup_pairs
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = embedding_neardup_pairs(
+    out = _pandas(embedding_neardup_pairs(
         emb, cosine_threshold=0.35, num_buckets=1
-    ).to_pandas()
+    ))
     out["cosine"] = _r(out["cosine"], 6)
     return out.sort_values(["left_id", "right_id"], ignore_index=True)
 
@@ -736,9 +732,9 @@ def q_embedding_semantic_dedup(sf_dir: str) -> pd.DataFrame:
             "cent": matrix_to_list_column(cents, pa.float64()),
         })),
     )
-    out = semantic_dedup(
+    out = _pandas(semantic_dedup(
         emb, model=model, cos_threshold=0.35
-    ).to_pandas()
+    ))
     return out.sort_values("vec_id", ignore_index=True)
 
 
@@ -765,7 +761,7 @@ def q_minhash_neardup_pairs(sf_dir: str) -> pd.DataFrame:
             batch_size=1024,
         ),
     )
-    out = minhash_lsh_dedup_pairs(docs, jaccard_threshold=0.5).to_pandas()
+    out = _pandas(minhash_lsh_dedup_pairs(docs, jaccard_threshold=0.5))
     out["jaccard"] = _r(out["jaccard"], 6)
     return out.sort_values(["left_id", "right_id"], ignore_index=True)
 
@@ -791,7 +787,7 @@ def q_doc_neardup_groups(sf_dir: str) -> pd.DataFrame:
             batch_size=1024,
         ),
     )
-    out = minhash_lsh_dedup(docs, jaccard_threshold=0.5).to_pandas()
+    out = _pandas(minhash_lsh_dedup(docs, jaccard_threshold=0.5))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -818,7 +814,7 @@ def q_simhash_neardup_pairs(sf_dir: str) -> pd.DataFrame:
     _write_oracle_side(
         "simhash_sketches", docs.map_batches(sketch, batch_format="pyarrow")
     )
-    out = simhash_dedup_pairs(docs, max_hamming=3).to_pandas()
+    out = _pandas(simhash_dedup_pairs(docs, max_hamming=3))
     return out.sort_values(["left_id", "right_id"], ignore_index=True)
 
 
@@ -850,7 +846,7 @@ def q_event_user_ndv_approx(sf_dir: str) -> pd.DataFrame:
     _write_oracle_side(
         "event_user_hll", events.map_batches(hashes, batch_format="pyarrow")
     )
-    out = grouped_approx_distinct(events, "event_type", "user_id", p=8).to_pandas()
+    out = _pandas(grouped_approx_distinct(events, "event_type", "user_id", p=8))
     return out.sort_values("event_type", ignore_index=True)
 
 
@@ -871,7 +867,7 @@ def q_doc_quality_features(sf_dir: str) -> pd.DataFrame:
             feats[c] = _r(feats[c], 6)
         return feats
 
-    out = docs.map_batches(fn, batch_format="pandas").to_pandas()
+    out = _pandas(docs.map_batches(fn, batch_format="pandas"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -883,7 +879,7 @@ def q_doc_boilerplate_stats(sf_dir: str) -> pd.DataFrame:
     from ..stages.dedup import boilerplate_shingle_stats
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = boilerplate_shingle_stats(docs, hot_doc_freq=5).to_pandas()
+    out = _pandas(boilerplate_shingle_stats(docs, hot_doc_freq=5))
     out["boilerplate_ratio"] = _r(out["boilerplate_ratio"], 6)
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -904,8 +900,7 @@ def q_doc_repetition_stats(sf_dir: str) -> pd.DataFrame:
         return out
 
     return (
-        docs.map_batches(fn, batch_format="pandas")
-        .to_pandas()
+        _pandas(docs.map_batches(fn, batch_format="pandas"))
         .sort_values("doc_id", ignore_index=True)
     )
 
@@ -917,7 +912,7 @@ def q_doc_top_tfidf(sf_dir: str) -> pd.DataFrame:
     from ..stages.tfidf import top_tfidf_terms
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = top_tfidf_terms(docs, k=1).to_pandas()
+    out = _pandas(top_tfidf_terms(docs, k=1))
     out["tfidf"] = _r(out["tfidf"], 6)
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -935,11 +930,11 @@ def q_corpus_top_terms(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return batch_term_counts(df["text"]).rename_axis("term").reset_index(name="n")
 
-    counts = grouped_aggregate(
+    counts = _pandas(grouped_aggregate(
         docs.map_batches(partial, batch_format="pandas"),
         "term",
         {"n": ("n", "sum")},
-    ).to_pandas()
+    ))
     return (
         counts.sort_values(["n", "term"], ascending=[False, True])
         .head(10)
@@ -967,7 +962,7 @@ def q_doc_segment_dup_stats(sf_dir: str) -> pd.DataFrame:
     from ..stages.segdedup import segment_dup_stats
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = segment_dup_stats(docs, k=5).to_pandas()
+    out = _pandas(segment_dup_stats(docs, k=5))
     out["dup_frac"] = _r(out["dup_frac"], 6)
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -976,11 +971,12 @@ def q_doc_clean_segments(sf_dir: str) -> pd.DataFrame:
     """Line-level dedup rewrite: every duplicated 5-word-segment occurrence
     except the global first (min (doc_id, seg_no)) removed, text rebuilt
     from survivors + the <5-word tail — stages/segdedup.
-    drop_duplicate_segments, drop list broadcast map-side (auto strategy)."""
+    drop_duplicate_segments, drop list broadcast map-side while it passes
+    the broadcast gate (joins.choose_arm)."""
     from ..stages.segdedup import drop_duplicate_segments
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = drop_duplicate_segments(docs, k=5).to_pandas()
+    out = _pandas(drop_duplicate_segments(docs, k=5))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1003,9 +999,9 @@ def q_doc_decontam_stats(sf_dir: str) -> pd.DataFrame:
     from ..stages.decontam import contamination_stats
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = contamination_stats(
+    out = _pandas(contamination_stats(
         _mod50_split(docs, False), _mod50_split(docs, True), shingle_words=5
-    ).to_pandas()
+    ))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1016,9 +1012,9 @@ def q_doc_decontaminated(sf_dir: str) -> pd.DataFrame:
     from ..stages.decontam import decontaminate
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = decontaminate(
+    out = _pandas(decontaminate(
         _mod50_split(docs, False), _mod50_split(docs, True), shingle_words=5
-    ).to_pandas()
+    ))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1031,10 +1027,10 @@ def q_doc_decontam_bloom(sf_dir: str) -> pd.DataFrame:
     from ..stages.decontam import decontaminate
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = decontaminate(
+    out = _pandas(decontaminate(
         _mod50_split(docs, False), _mod50_split(docs, True), shingle_words=5,
         strategy="bloom",
-    ).to_pandas()
+    ))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1050,7 +1046,7 @@ def q_doc_source_mixture(sf_dir: str) -> pd.DataFrame:
     from ..stages.sampling import rate_sample
 
     docs = _read(sf_dir, "documents", ["doc_id", "source"])
-    out = rate_sample(docs, _MIX_RATES).to_pandas()
+    out = _pandas(rate_sample(docs, _MIX_RATES))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1065,7 +1061,7 @@ def q_doc_temperature_mixture(sf_dir: str) -> pd.DataFrame:
     # so the op genuinely downsamples; source is uniform here
     docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     out, _ = temperature_sample(docs, key_col="lang", temperature=0.5, mod=1000)
-    return out.to_pandas().sort_values("doc_id", ignore_index=True)
+    return _pandas(out).sort_values("doc_id", ignore_index=True)
 
 
 def q_doc_pack_sequences(sf_dir: str) -> pd.DataFrame:
@@ -1075,7 +1071,7 @@ def q_doc_pack_sequences(sf_dir: str) -> pd.DataFrame:
     from ..stages.packing import pack_sequences
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = pack_sequences(docs, seq_len=512).to_pandas()
+    out = _pandas(pack_sequences(docs, seq_len=512))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1087,7 +1083,7 @@ def q_doc_packed_sequences(sf_dir: str) -> pd.DataFrame:
     from ..stages.packing import packed_sequences
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = packed_sequences(docs, seq_len=512).to_pandas()
+    out = _pandas(packed_sequences(docs, seq_len=512))
     out = out.drop(columns=["tokens"])
     return out.sort_values("seq_id", ignore_index=True)
 
@@ -1113,7 +1109,7 @@ def q_doc_token_p90_filter(sf_dir: str) -> pd.DataFrame:
         )
 
     tc = docs.map_batches(counts, batch_format="pyarrow")
-    out = filter_by_quantile(tc, "token_count", 0.9, keep="above").to_pandas()
+    out = _pandas(filter_by_quantile(tc, "token_count", 0.9, keep="above"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1172,10 +1168,9 @@ def q_doc_pii_scrub(sf_dir: str) -> pd.DataFrame:
         text = j(t.column("text"), email, phone, ipv4, "")
         return pa.table({"doc_id": t.column("doc_id"), "text": text})
 
-    out = (
+    out = _pandas(
         docs.map_batches(enrich, batch_format="pyarrow")
         .map_batches(ScrubPII("text"), batch_format="pyarrow")
-        .to_pandas()
     )
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -1223,10 +1218,9 @@ def q_doc_url_normalized(sf_dir: str) -> pd.DataFrame:
         )
         return pa.table({"doc_id": t.column("doc_id"), "url": j(base, sfx, "")})
 
-    out = (
+    out = _pandas(
         docs.map_batches(gen, batch_format="pyarrow")
         .map_batches(NormalizeUrls("url"), batch_format="pyarrow")
-        .to_pandas()
     )
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -1242,7 +1236,7 @@ def q_doc_bigram_ce(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     model = train_bigram_lm(docs, k=0.5)
-    out = score_bigram_ce(docs, model).to_pandas()
+    out = _pandas(score_bigram_ce(docs, model))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1270,7 +1264,7 @@ def q_doc_clean_corpus(sf_dir: str) -> pd.DataFrame:
 
     filtered = docs.map_batches(gate, batch_format="pandas")
     deduped = exact_dedup(filtered, "doc_id", "text")
-    out = deduped.map_batches(ScrubPII("text"), batch_format="pyarrow").to_pandas()
+    out = _pandas(deduped.map_batches(ScrubPII("text"), batch_format="pyarrow"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1316,7 +1310,7 @@ def q_doc_quality_classifier(sf_dir: str) -> pd.DataFrame:
 
     if os.environ.get("ERTRANSFER_SKIP_ORACLE_SIDE"):
         # bench arm: no side-input, stream the lean text->score map
-        out = score_quality(docs, clf).to_pandas()
+        out = _pandas(score_quality(docs, clf))
         return out.sort_values("doc_id", ignore_index=True)
     # oracle arm: encode ONCE — materialize the feature side-input and
     # score it directly (features_col), instead of re-encoding the corpus
@@ -1331,7 +1325,7 @@ def q_doc_quality_classifier(sf_dir: str) -> pd.DataFrame:
             ),
         })),
     )
-    out = score_quality(feats_ds, clf, features_col="x").to_pandas()
+    out = _pandas(score_quality(feats_ds, clf, features_col="x"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1344,7 +1338,7 @@ def q_doc_consistent_sample(sf_dir: str) -> pd.DataFrame:
     from ..stages.sampling import consistent_sample_k
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    out = consistent_sample_k(docs, 100).to_pandas()
+    out = _pandas(consistent_sample_k(docs, 100))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1367,9 +1361,9 @@ def q_doc_stratified_sample(sf_dir: str) -> pd.DataFrame:
         )
 
     keyed = docs.map_batches(with_hash, batch_format="pyarrow")
-    out = grouped_top_k(
+    out = _pandas(grouped_top_k(
         keyed, "source", "h", k=5, descending=False, tie_cols=["doc_id"]
-    ).to_pandas()
+    ))
     return out.drop(columns=["h"]).sort_values(
         ["source", "doc_id"], ignore_index=True
     )
@@ -1394,7 +1388,7 @@ def q_doc_ce_buckets(sf_dir: str) -> pd.DataFrame:
         lambda t: t.append_column("_g", pa.array(np.zeros(t.num_rows, np.int8))),
         batch_format="pyarrow",
     )
-    qdf = grouped_quantiles(one, "_g", "cross_entropy", [1 / 3, 2 / 3]).to_pandas()
+    qdf = _pandas(grouped_quantiles(one, "_g", "cross_entropy", [1 / 3, 2 / 3]))
     q33 = float(qdf[quantile_col_name(1 / 3)][0])
     q67 = float(qdf[quantile_col_name(2 / 3)][0])
 
@@ -1409,7 +1403,7 @@ def q_doc_ce_buckets(sf_dir: str) -> pd.DataFrame:
             {"doc_id": t.column("doc_id"), "cross_entropy": c, "bucket": b}
         )
 
-    out = ce.map_batches(bucket, batch_format="pyarrow").to_pandas()
+    out = _pandas(ce.map_batches(bucket, batch_format="pyarrow"))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1424,7 +1418,7 @@ def q_event_order_asof(sf_dir: str) -> pd.DataFrame:
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
-    out = asof_join(
+    out = _pandas(asof_join(
         events,
         orders,
         on="ts",
@@ -1433,7 +1427,7 @@ def q_event_order_asof(sf_dir: str) -> pd.DataFrame:
         right_by="o_custkey",
         how="inner",
         tie_breakers=["o_orderkey"],
-    ).to_pandas()
+    ))
     return _us(
         out.sort_values("event_id", ignore_index=True), ["ts", "o_orderdate"]
     )
@@ -1473,9 +1467,9 @@ def q_orders_nearby_counts(sf_dir: str) -> pd.DataFrame:
         lambda df: df[df["o_orderkey"] != df["nbr_orderkey"]],
         batch_format="pandas",
     )
-    out = grouped_aggregate(
+    out = _pandas(grouped_aggregate(
         pairs, "o_orderkey", {"n_nearby": ("nbr_orderkey", "count")}
-    ).to_pandas()
+    ))
     return out.sort_values("o_orderkey", ignore_index=True)
 
 
@@ -1485,7 +1479,7 @@ def q_event_value_quantiles(sf_dir: str) -> pd.DataFrame:
     from ..stages.windows import grouped_quantiles
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
-    out = grouped_quantiles(ev, "event_type", "value").to_pandas()
+    out = _pandas(grouped_quantiles(ev, "event_type", "value"))
     for c in ("q50", "q90", "q99"):
         out[c] = _r(out[c], 6)
     return out.sort_values("event_type", ignore_index=True)
@@ -1548,10 +1542,10 @@ def q_deepblocker_topk(sf_dir: str) -> pd.DataFrame:
     # projected-space top-2 at (8, 5) vs 0.831 at (8, 3) — pinned by
     # tests/test_queries_oracle.py::test_deepblocker_query_config_recall_floor
     capture: dict = {}
-    pairs = deepblocker_topk(
+    pairs = _pandas(deepblocker_topk(
         docs, docs, k=3, dim=256, dim_out=16, num_buckets=8, nprobe=5,
         capture=capture,
-    ).to_pandas()
+    ))
 
     def to_unit(t: pa.Table) -> pa.Table:
         # the same f64(f32) → _unit chain the kernel applies on both the
@@ -1597,7 +1591,7 @@ def q_doc_span_dup_stats(sf_dir: str) -> pd.DataFrame:
     from ..stages.spandedup import window_dup_stats
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = window_dup_stats(docs, k=5).to_pandas()
+    out = _pandas(window_dup_stats(docs, k=5))
     out["dup_frac"] = _r(out["dup_frac"], 6)
     return out.sort_values("doc_id", ignore_index=True)
 
@@ -1611,7 +1605,7 @@ def q_doc_dedup_spans(sf_dir: str) -> pd.DataFrame:
     from ..stages.spandedup import drop_duplicate_spans
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = drop_duplicate_spans(docs, k=5).to_pandas()
+    out = _pandas(drop_duplicate_spans(docs, k=5))
     return out.sort_values("doc_id", ignore_index=True)
 
 
@@ -1650,7 +1644,7 @@ def q_documents_jsonl_roundtrip(sf_dir: str) -> pd.DataFrame:
     # read exactly the shards this write produced (the dir may hold
     # leftovers from an older corpus layout — stale digests don't collide)
     back = read_jsonl(sorted(r["path"] for r in manifest), schema=schema)
-    return back.to_pandas().sort_values("doc_id", ignore_index=True)
+    return _pandas(back).sort_values("doc_id", ignore_index=True)
 
 
 def _gen_host_pages(t: pa.Table) -> pa.Table:
@@ -1691,7 +1685,7 @@ def q_host_stats(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pages = docs.map_batches(_gen_host_pages, batch_format="pyarrow")
-    out = host_stats(pages).to_pandas()
+    out = _pandas(host_stats(pages))
     out["mean_tokens"] = _r(out["mean_tokens"], 6)
     return out.sort_values("host", ignore_index=True)
 
@@ -1708,9 +1702,9 @@ def q_host_filtered_docs(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pages = docs.map_batches(_gen_host_pages, batch_format="pyarrow")
-    out = host_filter(
+    out = _pandas(host_filter(
         pages, blocklist=("site7.example",), min_docs=2, max_share=0.08
-    ).to_pandas()
+    ))
     return out[["doc_id", "host"]].sort_values("doc_id", ignore_index=True)
 
 
@@ -1728,7 +1722,7 @@ def q_er_documents(sf_dir: str) -> pd.DataFrame:
     pages = documents_as_pages(sf_dir)
     cfg = ERConfig(tokenization="shingles", weights=DOCUMENTS_WEIGHTS, sn_prefix=0)
     res = run_er(pages, cfg, normalized=True)
-    return res["clusters"].to_pandas().sort_values("url", ignore_index=True)
+    return _pandas(res["clusters"]).sort_values("url", ignore_index=True)
 
 
 def build_queries() -> dict:

@@ -43,7 +43,13 @@ from ..functions.hashing import (
 from ..functions.simfuncs import qgrams
 from ..functions.textnorm import ag_value, clean_text, coerce_strings
 from ..stages.groupby import exchange_group_apply
-from ..stages.joins import BroadcastHashJoin, put_broadcast
+from ..stages.joins import (
+    BroadcastHashJoin,
+    BroadcastSemiJoin,
+    cached_side,
+    collect_key_set,
+    put_broadcast,
+)
 
 
 def prepare_entity_table(ds, id_col: str = "id", clean: bool = True):
@@ -144,9 +150,6 @@ def topk_similarity_join(
             batch_format="pandas",
         )
 
-    from ..stages.groupby import exchange_group_apply
-    from ..stages.joins import cached_side
-
     ka = table_a.map_batches(
         _SideKeyEmitter(side=0, num_perm=num_perm, num_bands=num_bands,
                         qgram=qgram, seed=seed),
@@ -168,30 +171,16 @@ def topk_similarity_join(
         keep = lo.index[(lo.values == 0) & (hi.values == 1)]
         return pd.DataFrame({"block_key": keep.to_numpy()})
 
-    surv_chunks, total, cap = [], 0, 50_000_000
-    for bt in exchange_group_apply(
-        keyed.select_columns(["block_key", "side"]), "block_key", _both_sides
-    ).iter_batches(batch_format="pyarrow"):
-        arr = bt.column("block_key")
-        arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        total += len(arr)
-        if total > cap:
-            surv_chunks = None
-            break
-        surv_chunks.append(arr)
-    if surv_chunks is not None:
-        surv = (
-            pa.concat_arrays(surv_chunks) if surv_chunks else pa.array([], pa.int64())
+    surv = collect_key_set(
+        exchange_group_apply(
+            keyed.select_columns(["block_key", "side"]), "block_key", _both_sides
+        ),
+        "block_key",
+    )
+    if surv is not None:
+        keyed = keyed.map_batches(
+            BroadcastSemiJoin(put_broadcast(surv), "block_key"), batch_format="pyarrow"
         )
-        surv_ref = ray.put(surv)
-
-        def filt(t: pa.Table) -> pa.Table:
-            s = ray.get(surv_ref)
-            if len(s) == 0:
-                return t.slice(0, 0)
-            return t.filter(pa.compute.is_in(t.column("block_key"), value_set=s))
-
-        keyed = keyed.map_batches(filt, batch_format="pyarrow")
 
     # phase 1: candidate PAIR IDS per block — no scoring yet. A pair that
     # shares b bands would otherwise be scored b times (up to ×num_bands);
@@ -259,8 +248,9 @@ def topk_similarity_join(
 
     # phase 2: score each distinct pair once. agValues come from
     # worker-cached object-store lookups (one copy per worker process,
-    # never per band row); tokens are memoized per batch. The dedup.py
-    # join strategy is the template for beyond-heap entity tables.
+    # never per band row); tokens are memoized per batch. The exchange arm
+    # of the dedup.py verifiers is the template for beyond-heap entity
+    # tables.
     refs_a = table_a.to_arrow_refs()
     refs_b = table_b.to_arrow_refs()
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.arrays import group_pair_index
 from ..functions.hashing import (
@@ -167,29 +168,10 @@ def _pairs_in_bucket(df: pd.DataFrame, max_block_size: int, window: int) -> pd.D
     )
 
 
-def _surviving_block_keys(keyed_ds, num_buckets, cap: int):
-    """Pass 0 of generate_pairs: the multi-document block keys.
-
-    The vast majority of LSH band keys are singletons — they can never form
-    a pair, yet without this pass every one of their (key, url) rows rides
-    the full exchange only to be dropped by ``_pairs_in_bucket``. Counting
-    first over the KEY COLUMN ALONE (8-byte rows, ~5× less traffic than the
-    keyed rows) and broadcasting the survivor set lets the expensive
-    string-carrying exchange move only rows that can pair (~2 % of rows on
-    the near-dup benchmark corpus).
-
-    Returns a pyarrow Array of surviving keys (native key type), or ``None``
-    when their count exceeds ``cap`` (broadcast would not fit a worker heap —
-    e.g. extreme duplicate density at the 10^12-doc scale); callers then fall
-    back to the unfiltered exchange, which stays correct.
-
-    Delegates to :func:`groupby.counted_key_survivors` (compact numpy
-    exchange; measured 18 s → ~5 s at 32 CPUs on a 109M-row key column vs
-    the generic pandas exchange).
-    """
-    from .groupby import counted_key_survivors
-
-    return counted_key_survivors(keyed_ds, "block_key", num_buckets, cap)
+#: ``generate_pairs`` runs its singleton prefilter only on at least this many
+#: key rows: below it the count pass is pure added latency (measured +1-2 s
+#: on the 5k-doc sf0.1 table against -2.9 s per CPU leg on a 3.2M-doc run).
+PREFILTER_MIN_ROWS = 2_000_000
 
 
 def generate_pairs(
@@ -198,9 +180,6 @@ def generate_pairs(
     window: int = 8,
     dedup: bool = True,
     num_buckets: int | None = None,
-    prefilter_singletons: bool | str = "auto",
-    max_broadcast_keys: int = 50_000_000,
-    prefilter_min_rows: int = 2_000_000,
 ):
     """bucketed groupby(block_key) → bounded pair emission → cross-band dedup.
 
@@ -209,31 +188,30 @@ def generate_pairs(
     keeps one row per pair via a vectorized ``drop_duplicates`` (reference D1
     exact dedup, /root/reference/splitters/random-split/merger.py:34). Both
     shuffles are hash exchanges (see groupby.py for why).
+
+    Singleton prefilter, from :data:`PREFILTER_MIN_ROWS` key rows: the vast
+    majority of LSH band keys are singletons that can never form a pair, yet
+    every one of their (key, url) rows would ride the exchange only to be
+    dropped by ``_pairs_in_bucket``. A count pass over the KEY COLUMN ALONE
+    (8-byte rows, ~5× less traffic; ``groupby.counted_key_survivors``)
+    finds the multi-document keys, and that set is broadcast so the
+    string-carrying exchange moves only rows that can pair (~2 % of rows on
+    the near-dup benchmark corpus). Past the key-set gate the unfiltered
+    exchange runs, which stays correct.
     """
-    import ray
+    from .groupby import counted_key_survivors
+    from .joins import BroadcastSemiJoin, put_broadcast
 
-    if prefilter_singletons == "auto" or prefilter_singletons:
-        # consumed twice (count pass + filtered exchange): pin the keyed
-        # rows once instead of re-running the minhash emitter
-        keyed_ds = keyed_ds.materialize()
-        # "auto": the count pass only pays for itself when the exchange is
-        # big — below ~2M key rows it is pure added latency (measured +1-2 s
-        # on the 5k-doc sf0.1 table vs -2.9 s/CPU-leg on the 3.2M-doc run)
-        if prefilter_singletons == "auto" and keyed_ds.count() < prefilter_min_rows:
-            prefilter_singletons = False
-    if prefilter_singletons:
-        surv = _surviving_block_keys(keyed_ds, num_buckets, max_broadcast_keys)
+    # consumed twice (count pass + filtered exchange): pin the keyed rows
+    # once instead of re-running the minhash emitter
+    keyed_ds = keyed_ds.materialize()
+    if keyed_ds.count() >= PREFILTER_MIN_ROWS:
+        surv = counted_key_survivors(keyed_ds, "block_key", num_buckets)
         if surv is not None:
-            surv_ref = ray.put(surv)
-
-            def filt(t: pa.Table) -> pa.Table:
-                s = ray.get(surv_ref)
-                if len(s) == 0:
-                    return t.slice(0, 0)
-                mask = pa.compute.is_in(t.column("block_key"), value_set=s)
-                return t.filter(mask)
-
-            keyed_ds = keyed_ds.map_batches(filt, batch_format="pyarrow")
+            keyed_ds = keyed_ds.map_batches(
+                BroadcastSemiJoin(put_broadcast(surv), "block_key"),
+                batch_format="pyarrow",
+            )
 
     # the hottest shuffle in the pipeline (num_bands rows per doc) → raw-Ray
     # hash exchange instead of Ray Data's sort-based groupby
@@ -253,93 +231,53 @@ def generate_pairs(
     )
 
 
-BROADCAST_PAYLOAD_LIMIT = 1 << 30  # 1 GiB of payload side per worker heap
-
-
 def attach_pair_payloads(
     pairs_ds,
     norm_ds,
     payload_chars: int = 256,
     num_buckets: int | None = None,
-    strategy: str = "auto",
-    max_broadcast_urls: int = 50_000_000,
 ):
     """J3: re-attach scoring payloads (title + truncated norm_text) to the
     id-only pair rows. Each payload crosses the wire once either way —
     instead of num_bands+1 times through the key shuffle.
 
-    Strategy (the classic small-side rule):
-    - ``broadcast`` — payload side fits a worker heap: ``ray.put`` the
-      (url → title, payload) frame ONCE, map-side merge per batch. Zero
-      shuffles. Chosen automatically below BROADCAST_PAYLOAD_LIMIT.
-    - ``join`` — two bucketed cogroup joins (left side, then right side).
-      Needed when the corpus payload no longer fits one heap (the 10^12-doc
-      regime); costs two all-to-all barriers, which is why it is not the
-      default at broadcastable sizes (measured: +57s on a 100k-doc corpus
-      purely from the extra barriers).
+    Two arms (the classic small-side rule, decided by ``joins.choose_arm``
+    on the projected side's bytes):
+    - broadcast — the payload side fits a worker heap: ``ray.put`` the
+      (url → title, payload) table ONCE, map-side lookup per batch. Zero
+      shuffles.
+    - exchange — two bucketed cogroup joins (left side, then right side).
+      Needed when the payload side no longer fits one heap (the 10^12-doc
+      regime); costs two all-to-all barriers, which is why it is not taken
+      at broadcastable sizes (measured: +57s on a 100k-doc corpus purely
+      from the extra barriers).
     """
-    import pyarrow.compute as pc
     import ray
 
-    from .joins import bucketed_join
+    from .joins import (
+        BroadcastSemiJoin,
+        bucketed_join,
+        cached_side,
+        choose_arm,
+        pair_endpoints,
+    )
 
     # The useful side is never the corpus — it is the semi-join-filtered
     # projection (urls referenced by pairs only, O(pairs) rows), so BOTH
-    # strategies shrink the payload side through it whenever the needed-url
-    # set itself is holdable (measured on 6.4M docs / 527k pairs: the join
+    # arms shrink the payload side through it whenever the needed-url set
+    # passes the key-set gate (measured on 6.4M docs / 527k pairs: the join
     # path over the unfiltered corpus side takes 69 s vs 6 s filtered).
-    # Round-1 decided broadcast-vs-join on the full corpus size, which
-    # flipped 1.6M-doc runs onto the unfiltered join path.
-    # pairs are consumed twice below (semi-join scan + attach); pin them
+    # Deciding on the full corpus size instead flipped 1.6M-doc runs onto
+    # the unfiltered join path.
+    # pairs are consumed twice below (endpoint scan + attach); pin them
     pairs_ds = pairs_ds.materialize()
-    # needed-url set: per-batch Arrow unique runs DISTRIBUTED (each url
-    # appears in ~K pairs, so the pre-unique collapses driver traffic by
-    # that factor), then one vectorized unique+sort on the driver. Gives up
-    # (needed_arr = None → unfiltered sides) past ``max_broadcast_urls`` —
-    # the 10^12-pair regime where even the url list outgrows a heap.
-    def batch_unique(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc2
-
-        chunks: list[pa.Array] = []
-        for col in ("left_url", "right_url"):
-            c = t.column(col)
-            chunks.extend(c.chunks if isinstance(c, pa.ChunkedArray) else [c])
-        return pa.table({"url": pc2.unique(pa.chunked_array(chunks))})
-
-    uniq_parts: list[pa.Array] = []
-    total_urls = 0
-    for b in (
-        pairs_ds.select_columns(["left_url", "right_url"])
-        .map_batches(batch_unique, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        c = b.column("url")
-        new = c.chunks if isinstance(c, pa.ChunkedArray) else [c]
-        uniq_parts.extend(new)
-        total_urls += sum(len(a) for a in new)
-        if total_urls > max_broadcast_urls:
-            uniq_parts = None
-            break
-    if uniq_parts is None:
-        needed_arr = None
-    elif uniq_parts:
-        needed_arr = pc.unique(pa.chunked_array(uniq_parts))
-        # is_in ignores order; sorting keeps the broadcast artifact
-        # byte-stable across runs/parallelism (determinism invariant)
-        needed_arr = needed_arr.take(pc.array_sort_indices(needed_arr))
-    else:
-        needed_arr = pa.array([], pa.string())
+    needed_arr = pair_endpoints(pairs_ds, ["left_url", "right_url"])
 
     projected = None
     if needed_arr is not None:
         needed_ref = ray.put(needed_arr)
 
         def project_side(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc2
-
-            want = ray.get(needed_ref)
-            mask = pc2.fill_null(pc2.is_in(t.column("url"), value_set=want), False)
-            t = t.filter(mask)
             return pa.table(
                 {
                     "url": t.column("url"),
@@ -350,35 +288,19 @@ def attach_pair_payloads(
                 }
             )
 
-        projected = norm_ds.map_batches(
-            project_side, batch_format="pyarrow"
-        ).materialize()
-    if strategy == "auto":
-        size = None
-        if projected is not None:
-            try:
-                size = projected.size_bytes()
-            except Exception:  # noqa: BLE001
-                size = None
-        strategy = (
-            "broadcast"
-            if size is not None and size < BROADCAST_PAYLOAD_LIMIT
-            else "join"
+        projected = (
+            norm_ds.map_batches(BroadcastSemiJoin(needed_ref, "url"), batch_format="pyarrow")
+            .map_batches(project_side, batch_format="pyarrow")
+            .materialize()
         )
-    if strategy == "broadcast" and projected is None:
-        raise ValueError(
-            "attach_pair_payloads: broadcast strategy requires the needed-url "
-            f"set to fit max_broadcast_urls={max_broadcast_urls}"
-        )
-    if strategy == "broadcast":
+    if projected is not None and choose_arm(projected) == "broadcast":
         # consolidate the broadcast side into ONE object-store table:
         # shipping it as raw block refs (often 100s of tiny blocks) makes
         # every worker issue |blocks| serialized plasma fetches — measured as
         # a 25 s convoy at 32 workers x ~640 blocks where this single
         # put-once table costs ~0.2 s and is read zero-copy per node. The
         # side is the semi-join-filtered projection (O(pairs) rows), so the
-        # driver-side concat is bounded by the same limit that gates the
-        # broadcast strategy itself.
+        # driver-side concat is bounded by the same gate.
         # drop zero-row blocks before concat: sources that emit empty
         # blocks (e.g. read_binary_files with more read tasks than files)
         # surface them here as SCHEMA-LESS empties that poison concat_tables
@@ -418,7 +340,6 @@ def attach_pair_payloads(
                 keep[1:] = u[1:] != u[:-1]
             side_tbl = s.filter(pa.array(keep))
         side_refs = [ray.put(side_tbl)]
-        from .joins import cached_side
 
         # The attach stays ARROW end-to-end: probe with index_in + take, no
         # pandas index, no to_pandas of the side. The previous pandas-index
@@ -444,43 +365,31 @@ def attach_pair_payloads(
             attach_both, batch_format="pyarrow", batch_size=16384
         )
 
-    # join path: two bucketed cogroup joins. Sides come from the PROJECTED
-    # (needed-urls-only) table whenever the url set was holdable — ~20x
-    # smaller at the measured 6.4M-doc point (unfiltered join 69 s vs 6 s
-    # filtered) — and only fall back to the full normalized table in the
-    # regime where even the url list outgrows the cap.
-    def side(prefix: str):
+    # exchange arm: two bucketed cogroup joins. Sides come from the
+    # PROJECTED (needed-urls-only) table whenever the url set passed its
+    # gate — ~20x smaller at the measured 6.4M-doc point (unfiltered join
+    # 69 s vs 6 s filtered) — and only fall back to the full normalized
+    # table when even the url set is past it.
+    def side(prefix: str, projected_cols: bool):
         def fn(t: pa.Table) -> pa.Table:
+            if projected_cols:
+                title, payload = t.column("title"), t.column("payload")
+            else:
+                title = t.column("norm_title")
+                payload = pc.utf8_slice_codeunits(t.column("norm_text"), 0, payload_chars)
             return pa.table(
                 {
                     f"{prefix}_url": t.column("url"),
-                    f"{prefix}_title": t.column("norm_title"),
-                    f"{prefix}_payload": pc.utf8_slice_codeunits(
-                        t.column("norm_text"), 0, payload_chars
-                    ),
+                    f"{prefix}_title": title,
+                    f"{prefix}_payload": payload,
                 }
             )
 
         return fn
 
-    def side_projected(prefix: str):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    f"{prefix}_url": t.column("url"),
-                    f"{prefix}_title": t.column("title"),
-                    f"{prefix}_payload": t.column("payload"),
-                }
-            )
-
-        return fn
-
-    if projected is not None:
-        left_side = projected.map_batches(side_projected("left"), batch_format="pyarrow")
-        right_side = projected.map_batches(side_projected("right"), batch_format="pyarrow")
-    else:
-        left_side = norm_ds.map_batches(side("left"), batch_format="pyarrow")
-        right_side = norm_ds.map_batches(side("right"), batch_format="pyarrow")
+    src = projected if projected is not None else norm_ds
+    left_side = src.map_batches(side("left", projected is not None), batch_format="pyarrow")
+    right_side = src.map_batches(side("right", projected is not None), batch_format="pyarrow")
     with_left = bucketed_join(pairs_ds, left_side, "left_url", num_buckets=num_buckets)
     return bucketed_join(with_left, right_side, "right_url", num_buckets=num_buckets)
 

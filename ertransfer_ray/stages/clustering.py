@@ -78,9 +78,10 @@ def reciprocal_top1(predictions_ds, theta: float = 0.5):
 
         return fn
 
-    both = left_best.map_batches(tag(0), batch_format="pyarrow").union(
-        right_best.map_batches(tag(1), batch_format="pyarrow")
-    )
+    both = [
+        left_best.map_batches(tag(0), batch_format="pyarrow"),
+        right_best.map_batches(tag(1), batch_format="pyarrow"),
+    ]
 
     def intersect(df: pd.DataFrame) -> pd.DataFrame:
         if df.columns.empty:
@@ -499,7 +500,7 @@ def connected_components(
         # Five exchanges per round: propagate, min-combine, pointer-double
         # (whose output is itself the new label table, see shortcut), then
         # the two contraction passes over the shrinking edge set.
-        msgs = exchange_group_apply(edges_bi.union(labels), N[0], propagate)
+        msgs = exchange_group_apply([edges_bi, labels], N[0], propagate)
         base = exchange_group_apply(msgs, N[0], combine)
         labels = exchange_group_apply(
             base.map_batches(shortcut, batch_format="pyarrow"), N[0], doubled
@@ -509,8 +510,8 @@ def connected_components(
             converged = True
             break
         prev = cur
-        half = exchange_group_apply(edges_bi.union(labels), N[0], contract(False))
-        edges_bi = exchange_group_apply(half.union(labels), N[0], contract(True)).materialize()
+        half = exchange_group_apply([edges_bi, labels], N[0], contract(False))
+        edges_bi = exchange_group_apply([half, labels], N[0], contract(True)).materialize()
     if not converged:
         # exhausting the round budget without a checksum fixpoint means some
         # component wider than the propagation horizon is still split across

@@ -19,8 +19,10 @@ shuffle:
    measured 121 s vs 11 s on a 4M-capture / 3.2M-url corpus at 32 CPUs
    because every filter task rebuilt a 3.2M-string is_in set);
 3. the loser identity set ANTI-filters the ORIGINAL rows — broadcast
-   ``is_in`` below the gate, a bucketed anti-join exchange above it.
-   Payloads cross the wire zero times on the broadcast arm.
+   ``is_in`` while the set passes the key-set gate (``joins.choose_arm``,
+   whose limit is the ``is_in`` knee measured on this operator), a
+   bucketed anti-join exchange past it. Payloads cross the wire zero times
+   on the broadcast arm.
 
 Captures sharing an identical (url, warc_ts) pair are kept together
 (they are indistinguishable at the key level); follow with
@@ -35,16 +37,12 @@ import pyarrow.compute as pc
 
 from ..functions.urlnorm import normalize_urls
 from .groupby import exchange_group_apply
-from .joins import BroadcastSemiJoin, bucketed_anti_semi_join, put_broadcast
-
-#: byte cap for anti-broadcasting the loser capture keys. NOT the generic
-#: 1 GiB payload limit: pc.is_in rebuilds its hash set from the value_set
-#: on every kernel call, so huge string sets convoy the filter tasks —
-#: measured 29.6 s end-to-end at ~40 MB of keys (0.8M) vs 121.7 s at
-#: ~150 MB (3.2M) on a 4M-capture corpus / 32 CPUs. 64 MiB (~1.3M keys)
-#: stays on the good side of that knee; beyond it the bucketed anti-join
-#: exchange (which ships page rows once) is the faster arm.
-LOSER_BROADCAST_LIMIT = 64 << 20
+from .joins import (
+    BroadcastSemiJoin,
+    bucketed_anti_semi_join,
+    collect_key_set,
+    put_broadcast,
+)
 
 _SEP = "\x01"
 
@@ -60,7 +58,6 @@ def latest_capture_per_url(
     pages_ds,
     url_col: str = "url",
     ts_col: str = "warc_ts",
-    strategy: str = "auto",
     num_buckets: int | None = None,
 ):
     """Keep the newest capture per canonical URL (see module docstring).
@@ -68,10 +65,9 @@ def latest_capture_per_url(
     Returns the original rows (all columns) plus ``url_norm``. The decision
     side is the LOSER capture-identity set — distinct (url, ts) keys per
     canonical url minus its winner — so its size tracks the DUPLICATE
-    count, not the url count. ``strategy`` ∈ auto|broadcast|join: auto
-    anti-broadcasts the loser keys while their bytes fit a worker heap
-    (blocking.BROADCAST_PAYLOAD_LIMIT; metadata-only meter) and degrades
-    to the anti semi-join exchange beyond that.
+    count, not the url count. The loser keys are anti-broadcast while
+    their bytes (block metadata) pass the key-set gate
+    (``joins.collect_key_set``); past it the anti semi-join exchange runs.
     """
     import pandas as pd
 
@@ -126,32 +122,13 @@ def latest_capture_per_url(
         batch_format="pyarrow",
     )
 
-    if strategy == "auto":
-        strategy = (
-            "broadcast"
-            if (loser_keys.size_bytes() or 0) <= LOSER_BROADCAST_LIMIT
-            else "join"
-        )
-
-    if strategy == "broadcast":
-        key_chunks = [
-            b.column("capture_key")
-            for b in loser_keys.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ] or [pa.array([], pa.string())]
-        key_ref = put_broadcast(
-            pa.concat_arrays(
-                [
-                    c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-                    for c in key_chunks
-                ]
-            )
-        )
+    keys = collect_key_set(loser_keys, "capture_key")
+    if keys is not None:
         out = pages_keyed.map_batches(
-            BroadcastSemiJoin(key_ref, "capture_key", anti=True),
+            BroadcastSemiJoin(put_broadcast(keys), "capture_key", anti=True),
             batch_format="pyarrow",
         )
-    elif strategy == "join":
+    else:
         out = bucketed_anti_semi_join(
             pages_keyed,
             loser_keys,
@@ -159,8 +136,6 @@ def latest_capture_per_url(
             anti=True,
             num_buckets=num_buckets,
         )
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     return out.drop_columns(["capture_key"])
 

@@ -13,29 +13,29 @@ composes the shingle emitter and exchange primitives of ``stages/dedup.py``.
 
 Scale shape (the 100 TB contract):
 
-- eval sets are tiny next to a training corpus, so the DEFAULT arm
-  broadcasts the eval set's distinct shingle hashes (8 B each, sorted)
+- eval sets are tiny next to a training corpus, so the broadcast arm
+  publishes the eval set's distinct shingle hashes (8 B each, sorted)
   once via ``ray.put`` and the whole decision is MAP-SIDE: one
   searchsorted per corpus batch, no shuffle at all — the filter streams.
-- past the broadcast gate (``strategy="join"`` / auto above the byte cap)
-  the corpus's (shingle, doc_id) rows union the eval side's (shingle)
-  rows through ONE hash exchange on shingle; buckets emit per-doc partial
+- past the payload gate (``joins.choose_arm`` on the eval side's exact
+  bytes, one streaming meter pass — never a head sample) the corpus's
+  (shingle, doc_id) rows union the eval side's (shingle) rows through ONE
+  hash exchange on shingle; buckets emit per-doc partial
   (n_shingles, n_hits) counts — the big exchange's output is doc
   partials, id-only throughout.
-- the strategy gate meters the eval side with the same distributed
-  (rows, bytes) pass as ``dedup._auto_strategy`` — never a head sample.
 - ``strategy="bloom"`` is the opt-in middle path for eval sets past the
-  exact-broadcast gate but where the join arm's full corpus-shingle
-  exchange is the cost to avoid: a mergeable Bloom filter over the eval
-  shingles (stages/bloom.py, ~1.4 B/key vs 8 B/key exact) broadcasts
-  once; the map-side probe is DEFINITIVE for misses (no false
-  negatives), so clean docs — the overwhelming majority — never shuffle,
-  and only the bloom-suspicious docs ride the exact join-arm
-  verification. False positives cost only wasted verification, never a
-  wrong answer: the composed output is EXACT (equal to the other arms,
-  pinned by tests + the doc_decontam_bloom SQL oracle). ``auto`` keeps
-  choosing between the two exact single-pass arms — bloom adds a second
-  corpus read, which is only worth it when the corpus/eval ratio is big.
+  gate where the exchange arm's full corpus-shingle exchange is the cost
+  to avoid: a mergeable Bloom filter over the eval shingles
+  (stages/bloom.py, ~1.4 B/key vs 8 B/key exact) broadcasts once; the
+  map-side probe is DEFINITIVE for misses (no false negatives), so clean
+  docs — the overwhelming majority — never shuffle, and only the
+  bloom-suspicious docs ride the exact exchange-arm verification. False
+  positives cost only wasted verification, never a wrong answer: the
+  composed output is EXACT (equal to the other arms, pinned by tests +
+  the doc_decontam_bloom SQL oracle). The default, ``strategy="exact"``,
+  lets the gate choose between the two exact single-pass arms — bloom
+  adds a second corpus read, which is only worth it when the corpus/eval
+  ratio is big.
 """
 
 from __future__ import annotations
@@ -44,8 +44,26 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .dedup import _auto_strategy, _batch_doc_shingle_hashes, _shingle_doc_keys
+from .dedup import _batch_doc_shingle_hashes, _shingle_doc_keys
 from .groupby import exchange_group_apply, grouped_aggregate
+from .joins import (
+    BroadcastSemiJoin,
+    bucketed_anti_semi_join,
+    choose_arm,
+    collect_key_set,
+    put_broadcast,
+)
+
+def _check_strategy(strategy: str) -> None:
+    """``exact``: the gate picks the broadcast or exchange arm. ``bloom``: a
+    Bloom prefilter runs before the exchange arm."""
+    if strategy not in ("exact", "bloom"):
+        raise ValueError(f"strategy must be exact|bloom, got {strategy!r}")
+
+
+def _eval_arm(eval_ds, id_col: str, text_col: str) -> str:
+    """Broadcast or exchange, from the eval side's exact (id, text) bytes."""
+    return choose_arm(eval_ds.select_columns([id_col, text_col]))
 
 
 def _sorted_hits(ev: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -58,7 +76,8 @@ def _sorted_hits(ev: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 def _eval_shingle_set(eval_ds, id_col: str, text_col: str, k: int) -> np.ndarray:
     """Sorted distinct shingle hashes of the eval set (driver-side; the
-    broadcast arm's caller has already size-gated the eval side)."""
+    broadcast arm's caller has already passed the eval side through the
+    gate)."""
     keyed = eval_ds.select_columns([id_col, text_col]).map_batches(
         _shingle_doc_keys(id_col, text_col, k), batch_format="pyarrow"
     )
@@ -151,9 +170,8 @@ def contamination_stats(
     id_col: str = "doc_id",
     text_col: str = "text",
     shingle_words: int = 5,
-    strategy: str = "auto",
+    strategy: str = "exact",
     num_buckets: int | None = None,
-    max_broadcast_bytes: int | None = None,
     bloom_fpp: float = 0.005,
 ):
     """Per-corpus-doc Dataset (id_col, n_shingles, n_hits, contaminated):
@@ -161,13 +179,7 @@ def contamination_stats(
     eval set. Docs with no shingles (empty text) emit no row."""
     import ray
 
-    if strategy not in ("auto", "broadcast", "join", "bloom"):
-        raise ValueError(
-            f"strategy must be auto|broadcast|join|bloom, got {strategy!r}"
-        )
-    if strategy == "auto":
-        strategy = _auto_strategy(eval_ds, id_col, text_col, max_broadcast_bytes)
-
+    _check_strategy(strategy)
     if strategy == "bloom":
         from .bloom import BloomFilter
 
@@ -211,13 +223,12 @@ def contamination_stats(
             clean_stats, batch_format="pyarrow"
         )
         suspicious = _bloom_suspicious(corpus, bf, id_col, text_col, shingle_words)
-        exact = contamination_stats(
-            suspicious, eval_ds, id_col, text_col, shingle_words,
-            strategy="join", num_buckets=num_buckets,
+        exact = _exchange_stats(
+            suspicious, eval_ds, id_col, text_col, shingle_words, num_buckets
         )
         return clean.union(exact)
 
-    if strategy == "broadcast":
+    if _eval_arm(eval_ds, id_col, text_col) == "broadcast":
         ref = ray.put(_eval_shingle_set(eval_ds, id_col, text_col, shingle_words))
 
         def fn(t: pa.Table) -> pa.Table:
@@ -226,9 +237,18 @@ def contamination_stats(
         return corpus.select_columns([id_col, text_col]).map_batches(
             fn, batch_format="pyarrow"
         )
+    return _exchange_stats(
+        corpus, eval_ds, id_col, text_col, shingle_words, num_buckets
+    )
 
-    # join arm: tagged union on shingle — corpus rows carry doc_id, eval
-    # rows only the shingle (typed-null doc_id after the permissive concat)
+
+def _exchange_stats(
+    corpus, eval_ds, id_col: str, text_col: str, shingle_words: int,
+    num_buckets: int | None,
+):
+    """The exchange arm of :func:`contamination_stats`: a tagged union on
+    shingle — corpus rows carry doc_id, eval rows only the shingle
+    (typed-null doc_id after the permissive concat)."""
     emit = _shingle_doc_keys(id_col, text_col, shingle_words)
 
     def tag(side: int):
@@ -246,13 +266,14 @@ def contamination_stats(
 
         return f
 
-    both = corpus.select_columns([id_col, text_col]).map_batches(
-        tag(0), batch_format="pyarrow"
-    ).union(
+    both = [
+        corpus.select_columns([id_col, text_col]).map_batches(
+            tag(0), batch_format="pyarrow"
+        ),
         eval_ds.select_columns([id_col, text_col]).map_batches(
             tag(1), batch_format="pyarrow"
-        )
-    )
+        ),
+    ]
 
     def bucket(t: pa.Table) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -309,32 +330,27 @@ def decontaminate(
     id_col: str = "doc_id",
     text_col: str = "text",
     shingle_words: int = 5,
-    strategy: str = "auto",
+    strategy: str = "exact",
     num_buckets: int | None = None,
-    max_broadcast_bytes: int | None = None,
     bloom_fpp: float = 0.005,
 ):
     """Corpus rows (all columns) with contaminated documents REMOVED.
 
     Broadcast arm: one streaming map-side filter — each batch shingles its
     own docs against the broadcast eval set and keeps the clean rows (no
-    shuffle, no second pass). Join arm: contaminated ids from
-    :func:`contamination_stats`, then a broadcast anti-join on id (the
-    contaminated set is bounded by the eval set's reach, far smaller than
-    the corpus). Bloom arm: the broadcast Bloom prefilter restricts the
-    exact join-arm verification to bloom-suspicious docs only — the
-    corpus-shingle exchange shrinks to the suspicious slice while the
-    output stays EXACT (bloom misses are definitive)."""
+    shuffle, no second pass). Exchange arm: contaminated ids from the
+    shingle exchange of :func:`contamination_stats`, then an anti-join on
+    id — broadcast while the id set passes the key-set gate
+    (``joins.collect_key_set``), the bucketed anti-join past it (an eval
+    set that reaches most of the corpus). Bloom arm: the broadcast Bloom
+    prefilter restricts the exact exchange-arm verification to
+    bloom-suspicious docs only — the corpus-shingle exchange shrinks to the
+    suspicious slice while the output stays EXACT (bloom misses are
+    definitive)."""
     import ray
 
-    if strategy not in ("auto", "broadcast", "join", "bloom"):
-        raise ValueError(
-            f"strategy must be auto|broadcast|join|bloom, got {strategy!r}"
-        )
-    if strategy == "auto":
-        strategy = _auto_strategy(eval_ds, id_col, text_col, max_broadcast_bytes)
-
-    if strategy == "broadcast":
+    _check_strategy(strategy)
+    if strategy == "exact" and _eval_arm(eval_ds, id_col, text_col) == "broadcast":
         ref = ray.put(_eval_shingle_set(eval_ds, id_col, text_col, shingle_words))
 
         def keep_clean(t: pa.Table) -> pa.Table:
@@ -351,8 +367,6 @@ def decontaminate(
 
         return corpus.map_batches(keep_clean, batch_format="pyarrow")
 
-    from .joins import BroadcastSemiJoin
-
     if strategy == "bloom":
         # exact verification restricted to the bloom-suspicious slice —
         # the shingle exchange carries only those docs' shingles
@@ -360,26 +374,21 @@ def decontaminate(
         verify_side = _bloom_suspicious(corpus, bf, id_col, text_col, shingle_words)
     else:
         verify_side = corpus
-    stats = contamination_stats(
-        verify_side, eval_ds, id_col, text_col, shingle_words,
-        strategy="join", num_buckets=num_buckets,
+    stats = _exchange_stats(
+        verify_side, eval_ds, id_col, text_col, shingle_words, num_buckets
     )
     import pyarrow.compute as pc
 
     bad = stats.map_batches(
         lambda t: t.filter(pc.equal(t.column("contaminated"), True)).select([id_col]),
         batch_format="pyarrow",
-    )
-    # contaminated ids are bounded by the eval set's reach — driver-safe
-    parts = [
-        b.column(id_col).to_numpy(zero_copy_only=False)
-        for b in bad.iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ]
-    bad_ids = pa.array(
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    )
+    ).materialize()
+    bad_ids = collect_key_set(bad, id_col)
+    if bad_ids is None:
+        return bucketed_anti_semi_join(
+            corpus, bad, id_col, anti=True, num_buckets=num_buckets
+        )
     return corpus.map_batches(
-        BroadcastSemiJoin(ray.put(bad_ids), id_col, anti=True),
+        BroadcastSemiJoin(put_broadcast(bad_ids), id_col, anti=True),
         batch_format="pyarrow",
     )

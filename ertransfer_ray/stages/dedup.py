@@ -22,20 +22,17 @@ through that exchange amplify shuffle bytes by the same factor (the
 measured ~500 MB / 100k docs lesson of blocking.py:85-91). Verification
 payloads reach the grouped verify tasks one of two ways:
 
-- ``strategy="broadcast"``: the (id → payload) side is published
-  once as object-store block refs; each worker assembles its lookup index
-  ONCE (process-level cache) and every bucket verifies against it. Zero
-  payload bytes in the shuffle. Requires the payload side to fit a worker
-  heap — the same envelope as blocking.attach_pair_payloads' broadcast arm.
-- ``strategy="join"``: candidate pairs are generated id-only, deduped
-  across bands, and payloads are re-attached per SURVIVING pair via two
-  bucketed cogroup joins. Each payload crosses the wire once per referenced
-  pair side; use beyond broadcastable corpus sizes.
-- ``strategy="auto"`` (the default everywhere): picks between them on the
-  MEASURED projected payload-side bytes (sampled mean row size x corpus
-  rows) against blocking.BROADCAST_PAYLOAD_LIMIT — the same gate
-  attach_pair_payloads applies, so a default run on a beyond-heap corpus
-  degrades to the join path instead of OOMing a worker.
+- broadcast: the (id → payload) side is published once as one object-store
+  table; each worker assembles its lookup index ONCE (process-level cache)
+  and every bucket verifies against it. Zero payload bytes in the shuffle.
+- exchange: candidate pairs are generated id-only, deduped across bands,
+  and payloads are re-attached per SURVIVING pair via two bucketed cogroup
+  joins. Each payload crosses the wire once per referenced pair side.
+
+``joins.choose_arm`` picks between them on the projected (id, payload)
+side's exact bytes — one streaming meter pass, not a sample — against the
+payload limit, the same gate attach_pair_payloads applies, so a run on a
+beyond-heap corpus takes the exchange instead of OOMing a worker.
 
 All keep-first decisions are deterministic: the survivor is the smallest id
 in the duplicate group.
@@ -59,60 +56,21 @@ from ..functions.arrays import group_pair_index, list_column_to_matrix
 from ..functions.simfuncs import codepoint_csr, csr_jaccard, csr_sets, csr_trigram_keys
 from .clustering import connected_components
 from .groupby import distinct_rows, exchange_group_apply
+from .joins import (
+    BroadcastSemiJoin,
+    bucketed_anti_semi_join,
+    bucketed_join,
+    cached_side,
+    choose_arm,
+    collect_key_set,
+    consolidated_refs,
+    pair_endpoints,
+    put_broadcast,
+)
 
 # ---------------------------------------------------------------------------
-# worker-side payload lookup (broadcast strategy)
+# worker-side payload lookup (broadcast arm)
 # ---------------------------------------------------------------------------
-
-from .joins import cached_side as _cached_side  # worker-level payload cache
-
-
-def _auto_strategy(
-    ds,
-    id_col: str,
-    payload_col: str,
-    max_broadcast_bytes: int | None = None,
-) -> str:
-    """Resolve ``strategy="auto"`` for the near-dup verifiers: ``broadcast``
-    when the projected (id, payload) side fits a worker heap, else ``join``.
-
-    Same rule as blocking.attach_pair_payloads' gate, measured EXACTLY by
-    one distributed metering pass: every batch of the two projected columns
-    emits a (rows, bytes) partial, summed on the driver. The round-3 form
-    estimated from the FIRST ~2048 rows and paid a separate ``ds.count()``
-    — on corpora where payload size correlates with input order (crawl
-    segments sorted by date, text sorted by length) the head-mean
-    underestimates and the gate could broadcast a beyond-heap side, the
-    exact failure it exists to prevent. The metering pass streams (nothing
-    materializes, only two int64s per batch reach the driver), is
-    column-pruned at the read for read-rooted corpora, and the row count
-    rides the same pass. Callers handing in a ds with expensive upstream
-    maps should materialize it once — the verify stage re-executes it for
-    the payload side either way.
-    """
-    from .blocking import BROADCAST_PAYLOAD_LIMIT
-
-    if max_broadcast_bytes is None:
-        max_broadcast_bytes = BROADCAST_PAYLOAD_LIMIT
-
-    def meter(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "rows": pa.array([t.num_rows], pa.int64()),
-                "bytes": pa.array([t.nbytes], pa.int64()),
-            }
-        )
-
-    total_bytes = 0
-    for b in (
-        ds.select_columns([id_col, payload_col])
-        .map_batches(meter, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        total_bytes += int(pa.compute.sum(b.column("bytes")).as_py() or 0)
-    # 2x headroom: the broadcast side additionally holds the assembled
-    # per-worker lookup (index + fetched texts) on top of the table itself
-    return "broadcast" if 2 * total_bytes < max_broadcast_bytes else "join"
 
 
 def _text_lookup_build(t: pa.Table):
@@ -166,7 +124,7 @@ def _gram_code_sets(texts) -> tuple[np.ndarray, np.ndarray]:
 def _fetch_gram_codes(side_refs, uniq_ids) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_gram_code_sets` of the texts of ``uniq_ids``, fetched through
     the worker-cached lookup (an id missing from the side: the empty set)."""
-    index, texts = _cached_side(side_refs, _text_lookup_build)
+    index, texts = cached_side(side_refs, _text_lookup_build)
     pos = index.get_indexer(np.asarray(uniq_ids))
     return _gram_code_sets(pa.compute.take(texts, pa.array(pos, mask=pos < 0)).to_pylist())
 
@@ -237,7 +195,6 @@ def boilerplate_shingle_stats(
     shingle_words: int = 3,
     hot_doc_freq: int = 50,
     num_buckets: int | None = None,
-    max_broadcast_keys: int = 50_000_000,
 ):
     """Gopher/CCNet-style boilerplate statistic: per document, how many of
     its distinct word shingles are HOT (document frequency > ``hot_doc_freq``
@@ -253,13 +210,11 @@ def boilerplate_shingle_stats(
               (``ray.put`` once, sorted int64 array);
       pass 2: map-side per-doc recount + ``searchsorted`` membership against
               the broadcast hot set.
-    Past ``max_broadcast_keys`` hot shingles the hot set exceeds a worker
-    heap; the fallback arm computes document frequencies with a grouped
-    aggregate, semi-joins the keyed rows against the hot Dataset, and
-    grouped-counts per doc — two bucketed exchanges, same output.
+    Past the key-set gate (``joins.choose_arm``) the fallback arm computes
+    document frequencies with a grouped aggregate, semi-joins the keyed
+    rows against the hot Dataset, and grouped-counts per doc — two
+    bucketed exchanges, same output.
     """
-    import ray
-
     from .groupby import counted_key_survivors
 
     def totals_fn(t: pa.Table, hot: np.ndarray | None) -> pa.Table:
@@ -288,8 +243,7 @@ def boilerplate_shingle_stats(
     ).materialize()
 
     surv = counted_key_survivors(
-        keyed, "shingle", num_buckets, max_broadcast_keys,
-        min_count=hot_doc_freq + 1,
+        keyed, "shingle", num_buckets, min_count=hot_doc_freq + 1
     )
     if surv is not None:
         hot_sorted = np.sort(surv.to_numpy(zero_copy_only=False))
@@ -300,9 +254,8 @@ def boilerplate_shingle_stats(
 
         return ds.map_batches(stats, batch_format="pyarrow")
 
-    # distributed fallback: hot set beyond a worker heap
+    # distributed fallback: hot set past the key-set gate
     from .groupby import grouped_aggregate
-    from .joins import bucketed_anti_semi_join, bucketed_join
 
     # keyed rows always carry the id as "doc_id" (the emitter's contract)
     dfreq = grouped_aggregate(keyed, "shingle", {"df": ("doc_id", "count")})
@@ -441,7 +394,6 @@ def exact_dedup_incremental(
     increment: str,
     id_col: str = "doc_id",
     text_col: str = "text",
-    max_broadcast_ids: int = 50_000_000,
     num_buckets: int | None = None,
     seen_filter: str = "auto",
     bloom_capacity: int = 50_000_000,
@@ -460,8 +412,8 @@ def exact_dedup_incremental(
     SAME increment name is idempotent (its store entry is replaced, and the
     seen-set excludes the increment's own hashes).
 
-    Scale shape: the seen side is hash-only (8 B/row). Below
-    ``max_broadcast_ids`` stored hashes it broadcasts once and the filter is
+    Scale shape: the seen side is hash-only (8 B/row). While it passes the
+    key-set gate (``joins.choose_arm``) it broadcasts once and the filter is
     map-side; past that the increment anti-joins the store on content_hash
     through the bucketed exchange. Within-increment dedup is
     :func:`exact_dedup` (id-only exchange).
@@ -475,19 +427,17 @@ def exact_dedup_incremental(
     ~0.2 % false positives) are confirmed against the store via ONE
     column-pruned streaming semi-scan — no exchange on either side. The
     confirmation step makes the output EXACT (equal to the other arms).
-    Should the suspicious set ever exceed ``max_broadcast_ids`` (an
-    increment that is mostly re-crawl), it degrades to the bucketed
-    anti-join, which is the right tool for that shape anyway.
+    Should the suspicious set ever be past the key-set gate (an increment
+    that is mostly re-crawl), it degrades to the bucketed anti-join, which
+    is the right tool for that shape anyway.
 
     Returns the surviving rows of ``ds`` (original schema) as a Dataset.
     """
     import os
 
-    import ray
     import ray.data as rd
 
     from ..state.manifest import write_shard
-    from .joins import BroadcastSemiJoin, bucketed_anti_semi_join
 
     os.makedirs(state_dir, exist_ok=True)
     prior_dirs = [
@@ -502,7 +452,7 @@ def exact_dedup_incremental(
     ]
 
     # within-increment dedup first (keep smallest id per content)
-    survivors = exact_dedup(ds, id_col, text_col, max_broadcast_ids)
+    survivors = exact_dedup(ds, id_col, text_col)
     hashed = add_content_hash(survivors, text_col).materialize()
 
     if seen_filter not in ("auto", "bloom"):
@@ -520,64 +470,41 @@ def exact_dedup_incremental(
             probe = BloomFilter(m_bits, kp, ray.get(ref))
             return t.filter(pa.array(probe.contains(h)))
 
-        susp_parts = []
-        susp_total = 0
-        for b in hashed.map_batches(
-            keep_suspicious, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                susp_parts.append(
-                    b.column("content_hash").to_numpy(zero_copy_only=False)
-                )
-                susp_total += b.num_rows
-            if susp_total > max_broadcast_ids:
-                break
-
-        if susp_total > max_broadcast_ids:
+        susp = collect_key_set(
+            hashed.map_batches(keep_suspicious, batch_format="pyarrow"),
+            "content_hash",
+        )
+        seen = rd.read_parquet(prior_dirs, file_extensions=["parquet"])
+        if susp is None:
             # mostly-recrawl increment: the suspicious side is itself big —
             # the bucketed anti-join is the right shape, take it
-            seen = rd.read_parquet(prior_dirs, file_extensions=["parquet"])
             hashed = bucketed_anti_semi_join(
                 hashed, seen, "content_hash", anti=True, num_buckets=num_buckets,
             ).materialize()
-        elif susp_parts:
-            susp = np.unique(np.concatenate(susp_parts))
+        elif len(susp):
             # ONE streaming semi-scan of the store confirms which suspicious
             # hashes are real dups (bloom FPs drop out here) — the store
-            # side never exchanges, it just flows through a map filter
-            seen = rd.read_parquet(prior_dirs, file_extensions=["parquet"])
-            confirmed_parts = []
-            for b in seen.map_batches(
-                BroadcastSemiJoin(ray.put(pa.array(susp, pa.int64())), "content_hash"),
-                batch_format="pyarrow",
-            ).iter_batches(batch_format="pyarrow"):
-                if b.num_rows:
-                    confirmed_parts.append(
-                        b.column("content_hash").to_numpy(zero_copy_only=False)
-                    )
-            confirmed = (
-                np.unique(np.concatenate(confirmed_parts))
-                if confirmed_parts
-                else np.empty(0, np.int64)
+            # side never exchanges, it just flows through a map filter. A
+            # hash is registered by one increment only, so the confirmed
+            # set is no bigger than the suspicious one and passes its gate.
+            confirmed = collect_key_set(
+                seen.map_batches(
+                    BroadcastSemiJoin(put_broadcast(susp), "content_hash"),
+                    batch_format="pyarrow",
+                ),
+                "content_hash",
             )
             hashed = hashed.map_batches(
-                BroadcastSemiJoin(
-                    ray.put(pa.array(confirmed, pa.int64())), "content_hash",
-                    anti=True,
-                ),
+                BroadcastSemiJoin(put_broadcast(confirmed), "content_hash", anti=True),
                 batch_format="pyarrow",
             ).materialize()
         # else: zero suspicious hashes — the whole increment is provably new
     elif prior_dirs:
         seen = rd.read_parquet(prior_dirs, file_extensions=["parquet"])
-        n_seen = seen.count()
-        if n_seen <= max_broadcast_ids:
-            keys = pa.concat_tables(
-                ray.get(seen.materialize().to_arrow_refs())
-            ).column("content_hash").combine_chunks()
-            ref = ray.put(keys)
+        keys = collect_key_set(seen, "content_hash")
+        if keys is not None:
             hashed = hashed.map_batches(
-                BroadcastSemiJoin(ref, "content_hash", anti=True),
+                BroadcastSemiJoin(put_broadcast(keys), "content_hash", anti=True),
                 batch_format="pyarrow",
             )
         else:
@@ -625,16 +552,15 @@ def exact_dedup_incremental(
     return hashed.drop_columns(["content_hash"])
 
 
-def exact_dedup(ds, id_col: str, text_col: str = "text",
-                max_broadcast_ids: int = 50_000_000):
+def exact_dedup(ds, id_col: str, text_col: str = "text"):
     """Exact dedup: keep the smallest id per distinct content.
 
     ID-ONLY shuffle shape (the payload-through-shuffle rule): only
     (content_hash, id) rows — 16 bytes — ride the exchange; the surviving
     id set broadcasts back as a map-side filter, so full rows never
-    shuffle at all. Past ``max_broadcast_ids`` survivors (≈ distinct
-    contents beyond a worker heap) falls back to hash-partitioning the
-    full rows, which stays correct.
+    shuffle at all. Past the key-set gate (``joins.collect_key_set``; ≈
+    distinct contents beyond what ``is_in`` probes well) it falls back to
+    hash-partitioning the full rows, which stays correct.
     """
     hashed = add_content_hash(ds, text_col).materialize()
     pairs = hashed.map_batches(
@@ -643,34 +569,13 @@ def exact_dedup(ds, id_col: str, text_col: str = "text",
     keep = exchange_group_apply(
         pairs,
         "content_hash",
-        lambda df: df.groupby("content_hash", as_index=False)[id_col].min(),
+        lambda df: df.groupby("content_hash")[id_col].min().to_frame(),
     )
-    chunks: list[pa.Array] = []
-    total = 0
-    for b in keep.iter_batches(batch_format="pyarrow"):
-        a = b.column(id_col)
-        new = a.chunks if isinstance(a, pa.ChunkedArray) else [a]
-        chunks.extend(new)
-        total += sum(len(x) for x in new)
-        if total > max_broadcast_ids:
-            chunks = None
-            break
-    if chunks is not None:
-        ids = pa.concat_arrays([c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in chunks]) if chunks else pa.array([], pa.int64())
-        ids_ref = ray.put(ids)
-
-        def filt(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            want = ray.get(ids_ref)
-            if len(want) == 0:
-                return t.slice(0, 0)
-            mask = pc.fill_null(pc.is_in(t.column(id_col), value_set=want), False)
-            return t.filter(mask)
-
-        return hashed.map_batches(filt, batch_format="pyarrow").drop_columns(
-            ["content_hash"]
-        )
+    ids = collect_key_set(keep, id_col)
+    if ids is not None:
+        return hashed.map_batches(
+            BroadcastSemiJoin(put_broadcast(ids), id_col), batch_format="pyarrow"
+        ).drop_columns(["content_hash"])
 
     kept = exchange_group_apply(
         hashed,
@@ -779,70 +684,28 @@ def _shingle_pairs_in_bucket(df: pd.DataFrame, max_doc_freq: int) -> pd.DataFram
     return _candidate_pairs_in_bucket(df, "shingle", "doc_id", max_doc_freq).drop_duplicates()
 
 
-def _needed_ids(cand_pairs, cap: int = 50_000_000):
-    """Distinct pair-endpoint ids for join-side filtering (same pattern as
-    blocking.attach_pair_payloads' needed-url set: per-batch Arrow unique,
-    one vectorized reduce). Returns None past ``cap`` — callers then join
-    against the unfiltered side, which stays correct."""
-    import pyarrow.compute as pc
-
-    def batch_unique(t: pa.Table) -> pa.Table:
-        chunks: list[pa.Array] = []
-        for col in ("left_id", "right_id"):
-            c = t.column(col)
-            chunks.extend(c.chunks if isinstance(c, pa.ChunkedArray) else [c])
-        return pa.table({"id": pc.unique(pa.chunked_array(chunks))})
-
-    parts: list[pa.Array] = []
-    total = 0
-    for b in (
-        cand_pairs.select_columns(["left_id", "right_id"])
-        .map_batches(batch_unique, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        c = b.column("id")
-        new = c.chunks if isinstance(c, pa.ChunkedArray) else [c]
-        parts.extend(new)
-        total += sum(len(a) for a in new)
-        if total > cap:
-            return None
-    if not parts:
-        return pa.array([], pa.int64())
-    u = pc.unique(pa.chunked_array(parts))
-    return u.take(pc.array_sort_indices(u))
-
-
-def _filter_side_by_ids(docs_ds, id_col: str, needed):
-    """Semi-join-filter the payload side to the referenced ids (broadcast
-    is_in). ~|pairs| rows survive instead of the whole corpus."""
-    needed_ref = ray.put(needed)
-
-    def filt(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        want = ray.get(needed_ref)
-        if len(want) == 0:
-            return t.slice(0, 0)
-        mask = pc.fill_null(pc.is_in(t.column(id_col), value_set=want), False)
-        return t.filter(mask)
-
-    return docs_ds.map_batches(filt, batch_format="pyarrow")
+def _referenced_side(docs_ds, id_col: str, cand_pairs):
+    """The payload side cut to the ids that candidate pairs reference
+    (broadcast semi-join; ~|pairs| rows survive instead of the whole
+    corpus), or ``docs_ds`` itself when that id set is past the key-set
+    gate — the joins against it stay correct either way."""
+    needed = pair_endpoints(cand_pairs, ["left_id", "right_id"])
+    if needed is None:
+        return docs_ds
+    return docs_ds.map_batches(
+        BroadcastSemiJoin(put_broadcast(needed), id_col), batch_format="pyarrow"
+    ).materialize()
 
 
 def _attach_and_verify_jaccard(cand_pairs, docs_ds, id_col, text_col,
                                jaccard_threshold, num_buckets):
-    """Join-strategy verifier: re-attach text to id-only candidate pairs via
+    """Exchange-arm verifier: re-attach text to id-only candidate pairs via
     two bucketed cogroup joins (each payload moves once per referenced pair
     side), then verify the char-3-gram Jaccard per pair. The side is
-    pre-filtered to the referenced ids whenever that set is holdable (the
-    blocking.attach_pair_payloads measured lesson: the unfiltered corpus
-    side dominated the join cost)."""
-    from .joins import bucketed_join
-
+    pre-filtered to the referenced ids (the blocking.attach_pair_payloads
+    measured lesson: the unfiltered corpus side dominated the join cost)."""
     cand_pairs = cand_pairs.materialize()
-    needed = _needed_ids(cand_pairs)
-    if needed is not None:
-        docs_ds = _filter_side_by_ids(docs_ds, id_col, needed).materialize()
+    docs_ds = _referenced_side(docs_ds, id_col, cand_pairs)
 
     def side(prefix: str):
         def fn(t: pa.Table) -> pa.Table:
@@ -895,8 +758,6 @@ def minhash_lsh_dedup_pairs(
     shingle_words: int = 3,
     jaccard_threshold: float = 0.8,
     max_block_size: int = 128,
-    strategy: str = "auto",
-    max_broadcast_bytes: int | None = None,
 ):
     """MinHash-LSH near-dup candidate pairs, Jaccard-verified.
 
@@ -904,20 +765,15 @@ def minhash_lsh_dedup_pairs(
     per-group capped pair generation → char-3-gram Jaccard verify ≥
     threshold → distinct pairs (left_id < right_id, with verified score).
 
-    ``strategy="auto"`` (default) measures the projected (id, text) side
-    (see _auto_strategy) and picks ``broadcast`` below
-    ``max_broadcast_bytes`` (default blocking.BROADCAST_PAYLOAD_LIMIT),
-    else ``join`` — so the default degrades gracefully instead of OOMing a
-    worker on a beyond-heap corpus. ``strategy="broadcast"``: buckets
-    verify in place against a worker-cached (id → text) lookup built from
-    object-store block refs — no payload bytes in any shuffle.
-    ``strategy="join"``: candidates are deduped id-only first, then text
-    joins back per surviving pair (beyond-broadcast corpus sizes).
+    The (id, text) side's bytes pick the arm (``joins.choose_arm``; see
+    the module docstring). Broadcast: buckets verify in place against a
+    worker-cached (id → text) lookup — no payload bytes in any shuffle.
+    Exchange: candidates are deduped id-only first, then text joins back
+    per surviving pair, so a beyond-heap corpus never OOMs a worker.
     """
     from .scoring import pool_map_batches
 
-    if strategy == "auto":
-        strategy = _auto_strategy(ds, id_col, text_col, max_broadcast_bytes)
+    arm = choose_arm(ds.select_columns([id_col, text_col]))
 
     keyed = pool_map_batches(
         ds,
@@ -936,13 +792,11 @@ def minhash_lsh_dedup_pairs(
     # thrash (measured on 400k docs / 8 CPUs: fused 58 s vs staged 22 s —
     # the same pathology run_er(staged=True) documents)
 
-    if strategy == "join":
-        from .groupby import exchange_group_apply as _ega
-
+    if arm == "exchange":
         # same raw hash exchange as the broadcast arm below — Ray Data's
         # sort-based groupby on the x num_bands band table was the measured
         # 3.4x gap between the arms at 1.6M docs / 16 CPUs
-        cands = _ega(
+        cands = exchange_group_apply(
             keyed, "band_key",
             lambda df: _candidate_pairs_in_bucket(df, "band_key", "doc_id", max_block_size),
         )
@@ -950,8 +804,6 @@ def minhash_lsh_dedup_pairs(
         return _attach_and_verify_jaccard(
             cands, ds, id_col, text_col, jaccard_threshold, None
         )
-
-    from .joins import consolidated_refs
 
     side_refs = consolidated_refs(
         ds.map_batches(
@@ -1045,8 +897,6 @@ def ngram_jaccard_pairs(
     shingle_words: int = 3,
     jaccard_threshold: float = 0.5,
     max_doc_freq: int = 50,
-    strategy: str = "auto",
-    max_broadcast_bytes: int | None = None,
 ):
     """Exact near-dup pairs: block on shared word-``shingle_words``-shingles
     (inverted index as a shuffle), verify char-3-gram Jaccard ≥ threshold.
@@ -1061,11 +911,10 @@ def ngram_jaccard_pairs(
     AND stays SQL-expressible (HAVING count(*) <= F), unlike a silent
     per-block truncation. Shuffle rows are (shingle_hash:int64, id): id-only.
 
-    ``strategy="auto"`` (default): broadcast-vs-join decided on the measured
-    projected (id, text) side bytes, as in minhash_lsh_dedup_pairs.
+    Broadcast or exchange verification is decided on the (id, text) side's
+    bytes, as in minhash_lsh_dedup_pairs.
     """
-    if strategy == "auto":
-        strategy = _auto_strategy(ds, id_col, text_col, max_broadcast_bytes)
+    arm = choose_arm(ds.select_columns([id_col, text_col]))
 
     keyed = ds.map_batches(
         _shingle_doc_keys(id_col, text_col, shingle_words), batch_format="pyarrow"
@@ -1076,41 +925,31 @@ def ngram_jaccard_pairs(
     # over the 8-byte shingle column finds keys with 2 ≤ df ≤ max_doc_freq;
     # rows outside the band — singletons AND boilerplate — never ride the
     # (shingle, id) exchange. Falls back to the unfiltered exchange when
-    # the survivor set exceeds the broadcast cap.
-    import ray
-
-    from .groupby import counted_key_survivors, exchange_group_apply
+    # the survivor set is past the key-set gate.
+    from .groupby import counted_key_survivors
 
     keyed = keyed.materialize()
     if keyed.count() == 0:
         return _empty_pairs_ds("jaccard")
     # compact numpy count pass (see counted_key_survivors); None → survivor
-    # set exceeds the broadcast cap → unfiltered exchange (still correct)
+    # set past the gate → unfiltered exchange (still correct)
     surv = counted_key_survivors(
-        keyed, "shingle", None, 50_000_000, min_count=2, max_count=max_doc_freq
+        keyed, "shingle", None, min_count=2, max_count=max_doc_freq
     )
     if surv is not None:
-        surv_ref = ray.put(surv)
-
-        def band_filter(t: pa.Table) -> pa.Table:
-            s = ray.get(surv_ref)
-            if len(s) == 0:
-                return t.slice(0, 0)
-            return t.filter(pa.compute.is_in(t.column("shingle"), value_set=s))
-
-        keyed = keyed.map_batches(band_filter, batch_format="pyarrow")
+        keyed = keyed.map_batches(
+            BroadcastSemiJoin(put_broadcast(surv), "shingle"), batch_format="pyarrow"
+        )
 
     cands = exchange_group_apply(
         keyed, "shingle", lambda df: _shingle_pairs_in_bucket(df, max_doc_freq)
     )
     cands = distinct_rows(cands, ["left_id", "right_id"])
 
-    if strategy == "join":
+    if arm == "exchange":
         return _attach_and_verify_jaccard(
             cands, ds, id_col, text_col, jaccard_threshold, None
         )
-
-    from .joins import consolidated_refs
 
     side_refs = consolidated_refs(
         ds.map_batches(
@@ -1259,10 +1098,8 @@ def embedding_neardup_pairs(
     cosine_threshold: float = 0.95,
     num_buckets: int | None = 8,
     seed: int = 5,
-    strategy: str = "auto",
     max_block_size: int = 4096,
     n_proj: int = 2,
-    max_broadcast_bytes: int | None = None,
 ):
     """Embedding near-dup pairs via random-hyperplane LSH buckets +
     in-bucket brute-force cosine. A pair is emitted iff cosine ≥ threshold
@@ -1285,15 +1122,14 @@ def embedding_neardup_pairs(
 
     The bucket shuffle carries ID-ONLY (bucket:int64, vec_id) rows; the
     float vectors never ride the exchange. In-bucket verification fetches
-    vectors from a worker-cached object-store lookup (``broadcast``) or,
-    beyond broadcastable sizes, candidate pairs are deduped id-only and
-    vectors join back per pair (``join``). ``strategy="auto"`` (default)
-    picks between them on the measured projected (id, vec) side bytes.
+    vectors from a worker-cached object-store lookup (broadcast) or, past
+    the payload gate on the (id, vec) side's bytes (``joins.choose_arm``),
+    candidate pairs are deduped id-only and vectors join back per pair
+    (exchange).
     """
     from ..functions.simfuncs import cosine_matrix
 
-    if strategy == "auto":
-        strategy = _auto_strategy(ds, id_col, vec_col, max_broadcast_bytes)
+    arm = choose_arm(ds.select_columns([id_col, vec_col]))
 
     if num_buckets is None:
         n_vecs = ds.count()
@@ -1339,22 +1175,15 @@ def embedding_neardup_pairs(
 
     _EMPTY_COS = {"left_id": "int64", "right_id": "int64", "cosine": "float64"}
 
-    if strategy == "join":
-        from .groupby import exchange_group_apply as _ega
-
-        cands = _ega(
+    if arm == "exchange":
+        cands = exchange_group_apply(
             keyed, "bucket",
             lambda df: _candidate_pairs_in_bucket(df, "bucket", "vec_id", max_block_size),
         )
         cands = distinct_rows(cands, ["left_id", "right_id"]).materialize()
-        from .joins import bucketed_join
-
         # pre-filter the vector side to the referenced ids (same measured
         # lesson as _attach_and_verify_jaccard)
-        vec_side = ds
-        needed = _needed_ids(cands)
-        if needed is not None:
-            vec_side = _filter_side_by_ids(ds, id_col, needed).materialize()
+        vec_side = _referenced_side(ds, id_col, cands)
 
         def side(prefix: str):
             # vectors travel the pair join as fixed-width float64 blobs:
@@ -1389,8 +1218,6 @@ def embedding_neardup_pairs(
 
         return with_r.map_batches(verify_pairs, batch_format="pandas")
 
-    from .joins import consolidated_refs
-
     side_refs = consolidated_refs(
         ds.map_batches(
             lambda t: pa.table({"id": t.column(id_col), "vec": t.column(vec_col)}),
@@ -1412,7 +1239,7 @@ def embedding_neardup_pairs(
         df = df[df.duplicated("bucket", keep=False)]  # singletons can't pair
         if df.empty:
             return _empty_frame(_EMPTY_COS)
-        index, mat = _cached_side(side_refs, build_lookup)
+        index, mat = cached_side(side_refs, build_lookup)
         frames = []
         for _, g in df.groupby("bucket", sort=False):
             g = g.drop_duplicates("vec_id").sort_values("vec_id").head(max_block_size)

@@ -18,11 +18,12 @@ Scale design (10^12 pages, ~10^8 hosts):
   shuffle), combined in a bucketed pass, so the per-host table is |hosts|
   rows living on the cluster, never driver-collected;
 - ``host_filter`` broadcasts the SMALLER of the keep/drop host identity
-  sets while it fits ``HOST_BROADCAST_LIMIT`` (the measured ``pc.is_in``
-  knee from stages/crawl.py — is_in rebuilds its hash set per kernel
-  call, so huge value sets convoy the filter tasks) and degrades to the
-  bucketed semi-join exchange beyond it, exactly the crawl-capture
-  pattern. Page rows cross the wire zero times on the broadcast arm.
+  sets while the marked host table passes the key-set gate
+  (``joins.choose_arm`` — its limit is the measured ``pc.is_in`` knee:
+  is_in rebuilds its hash set per kernel call, so huge value sets convoy
+  the filter tasks) and degrades to the bucketed semi-join exchange
+  beyond it, exactly the crawl-capture pattern. Page rows cross the wire
+  zero times on the broadcast arm.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import pyarrow.compute as pc
 from ..functions.textstats import token_count_batch
 from ..functions.urlnorm import host_of, normalize_urls
 from .groupby import grouped_aggregate
-from .joins import BroadcastSemiJoin, bucketed_anti_semi_join, put_broadcast
-
-#: byte cap for broadcasting a host identity set through ``pc.is_in`` —
-#: same knee as crawl.LOSER_BROADCAST_LIMIT (measured there: ~40 MB of
-#: string keys filters fine; ~150 MB convoys every filter task).
-HOST_BROADCAST_LIMIT = 64 << 20
+from .joins import (
+    BroadcastSemiJoin,
+    bucketed_anti_semi_join,
+    choose_arm,
+    put_broadcast,
+)
 
 
 def with_host(pages_ds, url_col: str = "url", normalized: bool = False):
@@ -109,7 +110,7 @@ def host_stats(
 
 def _host_identity_set(stats_ds, keep: bool) -> pa.Array:
     """Collect one side's host identities from a (host, _keep) Dataset.
-    Caller has already verified the side fits HOST_BROADCAST_LIMIT."""
+    Caller has already passed the side through the key-set gate."""
     chunks = []
     for b in stats_ds.iter_batches(batch_format="pyarrow"):
         if b.num_rows == 0:
@@ -131,7 +132,6 @@ def host_filter(
     min_docs: int | None = None,
     max_share: float | None = None,
     normalized: bool = False,
-    strategy: str = "auto",
     num_buckets: int | None = None,
 ):
     """Keep pages whose host survives domain-level filtering; output is the
@@ -150,10 +150,10 @@ def host_filter(
        post-blocklist corpus, matching the order real pipelines apply
        them.
 
-    ``strategy`` ∈ auto|broadcast|join: auto broadcasts the SMALLER of the
-    keep/drop host identity sets while its bytes fit
-    ``HOST_BROADCAST_LIMIT`` and degrades to the bucketed semi-join
-    exchange beyond it (page rows then cross the wire once).
+    The SMALLER of the keep/drop host identity sets is broadcast while the
+    marked host table passes the key-set gate (``joins.choose_arm``);
+    beyond it the bucketed semi-join exchange runs (page rows then cross
+    the wire once).
     """
     pages = with_host(pages_ds, url_col=url_col, normalized=normalized)
 
@@ -195,16 +195,9 @@ def host_filter(
 
     marked = stats.map_batches(mark, batch_format="pandas").materialize()
 
-    if strategy == "auto":
-        # the side arrays are host strings + a bool; size_bytes() of the
-        # marked table bounds both sides, so one meter decides
-        strategy = (
-            "broadcast"
-            if (marked.size_bytes() or 0) <= HOST_BROADCAST_LIMIT
-            else "join"
-        )
-
-    if strategy == "broadcast":
+    # the side arrays are host strings + a bool; the marked table's bytes
+    # (block metadata) bound both sides, so one gate decides
+    if choose_arm(marked, key_set=True) == "broadcast":
         keep_ids = _host_identity_set(marked, keep=True)
         drop_ids = _host_identity_set(marked, keep=False)
         use_keep = len(keep_ids) <= len(drop_ids)
@@ -213,13 +206,11 @@ def host_filter(
             BroadcastSemiJoin(ids_ref, "host", anti=not use_keep),
             batch_format="pyarrow",
         )
-    if strategy == "join":
 
-        def keep_only(t: pa.Table) -> pa.Table:
-            return t.filter(t.column("_keep")).select(["host"])
+    def keep_only(t: pa.Table) -> pa.Table:
+        return t.filter(t.column("_keep")).select(["host"])
 
-        keep_hosts = marked.map_batches(keep_only, batch_format="pyarrow")
-        return bucketed_anti_semi_join(
-            pages, keep_hosts, "host", anti=False, num_buckets=num_buckets
-        )
-    raise ValueError(f"strategy must be auto|broadcast|join, got {strategy!r}")
+    keep_hosts = marked.map_batches(keep_only, batch_format="pyarrow")
+    return bucketed_anti_semi_join(
+        pages, keep_hosts, "host", anti=False, num_buckets=num_buckets
+    )

@@ -74,17 +74,31 @@ def _group_refs(block_refs: list, num_buckets: int) -> list[list]:
     return [block_refs[i : i + g] for i in range(0, len(block_refs), g)]
 
 
-def _materialized_blocks(ds) -> tuple[list, object]:
-    """Run ``ds`` once and return its block refs (arrow or pandas blocks)
-    and its schema (``None`` when unknown). ``to_arrow_refs`` would run part
-    of a lazy plan a second time to fetch the schema. An input that is
-    already materialized is used as it is: materializing it again copies
-    its plan (~10 ms on one CPU)."""
+def materialized(ds):
+    """``ds`` run once. An input that is already materialized is used as it
+    is: materializing it again copies its plan (~10 ms on one CPU)."""
     from ray.data.dataset import MaterializedDataset
 
-    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-    refs = [r for bundle in mat.iter_internal_ref_bundles() for r in bundle.block_refs]
-    return refs, mat.schema(fetch_if_missing=False)
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def _materialized_blocks(ds) -> tuple[list, object]:
+    """Run ``ds`` once and return the refs of its non-empty blocks (arrow or
+    pandas blocks) and its schema (``None`` when unknown). ``to_arrow_refs``
+    would run part of a lazy plan a second time to fetch the schema."""
+    mat = materialized(ds)
+    refs = [
+        r
+        for bundle in mat.iter_internal_ref_bundles()
+        for r, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+    schema = mat.schema(fetch_if_missing=False)
+    if schema is None:
+        # a zero-row read (an empty parquet file) materializes into
+        # schema-less blocks, but its plan still knows the schema
+        schema = ds.schema(fetch_if_missing=False)
+    return refs, schema
 
 
 def default_num_buckets() -> int:
@@ -231,6 +245,24 @@ def empty_frame(schema) -> pd.DataFrame:
     )
 
 
+def _typed_table(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """``fn``'s pandas output as Arrow. A zero-row frame carries no values to
+    type its ``object`` columns by, so Arrow would make them ``null``; such a
+    column that the bucket had takes the bucket's type instead, so empty
+    buckets emit the same schema as full ones."""
+    out = pa.Table.from_pandas(df, preserve_index=False)
+    if out.num_rows:
+        return out
+    return pa.table(
+        {
+            f.name: pa.nulls(0, schema.field(f.name).type)
+            if pa.types.is_null(f.type) and f.name in schema.names
+            else out.column(f.name)
+            for f in out.schema
+        }
+    )
+
+
 def exchange_group_apply(
     ds,
     keys: str | list[str],
@@ -254,6 +286,10 @@ def exchange_group_apply(
     a lazy upstream runs exactly once per call; a caller that feeds one
     Dataset to several exchanges materializes it first.
 
+    ``ds`` may also be a list of Datasets, the sides of a tagged union:
+    each side is materialized on its own and their blocks meet only in the
+    exchange, so no union operator has to reconcile their column sets.
+
     ``fn_format="pyarrow"`` hands ``fn`` the bucket as one pyarrow Table
     (permissive-promoted concat: blocks may carry DIFFERENT column subsets,
     missing columns surface as typed nulls) and accepts a Table or DataFrame
@@ -270,9 +306,14 @@ def exchange_group_apply(
         num_buckets = default_num_buckets()
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    block_refs, schema = _materialized_blocks(ds)
+    sides = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    block_refs, schema = [], None
+    for side in sides:
+        refs, side_schema = _materialized_blocks(side)
+        block_refs += refs
+        schema = side_schema if schema is None else schema
     if not block_refs or schema is None or not schema.names:
-        # zero-block or schema-less input (a map over an empty dataset emits
+        # zero-row or schema-less input (a map over an empty dataset emits
         # one empty block with no columns): nothing to group, but consumers
         # expect fn's OUTPUT schema (e.g. left_id/right_id on an empty
         # corpus), not the input's — so hand fn an empty frame built from
@@ -300,7 +341,7 @@ def exchange_group_apply(
                 type(exc).__name__,
                 exc,
             )
-            return ds
+            return sides[0] if len(sides) == 1 else sides[0].union(*sides[1:])
 
     def _compact(t: pa.Table) -> pa.Table:
         # An Arrow table SLICE pickles at the size of its PARENT buffers
@@ -357,20 +398,15 @@ def exchange_group_apply(
     @ray.remote
     def apply_bucket(*tables):
         tbls = [t for t in tables if t.num_rows > 0]
-        if not tbls:
+        if tbls:
+            bucket = pa.concat_tables(tbls, promote_options="permissive")
+        else:
             # all-empty bucket: hand fn an empty frame with the richest
             # available schema (schema-less empties carry no columns)
-            base_t = (
-                max(tables, key=lambda t: t.num_columns)
-                if tables
-                else pa.table({})
-            )
-            out = fn(base_t if fn_format == "pyarrow" else base_t.to_pandas())
-        else:
-            cat = pa.concat_tables(tbls, promote_options="permissive")
-            out = fn(cat if fn_format == "pyarrow" else cat.to_pandas())
+            bucket = max(tables, key=lambda t: t.num_columns) if tables else pa.table({})
+        out = fn(bucket if fn_format == "pyarrow" else bucket.to_pandas())
         if isinstance(out, pd.DataFrame):
-            out = pa.Table.from_pandas(out, preserve_index=False)
+            out = _typed_table(out, bucket.schema)
         return out
 
     if num_buckets == 1:
@@ -387,14 +423,15 @@ def counted_key_survivors(
     ds,
     key: str,
     num_buckets: int | None,
-    cap: int,
     min_count: int = 2,
     max_count: int | None = None,
 ):
     """Distributed key-frequency filter: returns the keys whose GLOBAL row
     count falls in ``[min_count, max_count]`` as one pyarrow array ready to
-    broadcast (``ray.put``), or ``None`` when their number exceeds ``cap``
-    (callers fall back to the unfiltered exchange, which stays correct).
+    broadcast (``ray.put``), or ``None`` when their bytes are past the key-set
+    gate (``joins.choose_arm``; callers fall back to the unfiltered
+    exchange, which stays correct). Each bucket reports its survivors' bytes
+    with them, so the gate decides before any survivor reaches the driver.
 
     This is the count pass behind the singleton/boilerplate prefilters
     (blocking.generate_pairs, ngram_jaccard_pairs): it runs as a compact
@@ -404,6 +441,8 @@ def counted_key_survivors(
     Handles empty/schema-less blocks and works for object keys too.
     """
     import ray
+
+    from .joins import choose_arm
 
     nb = num_buckets or default_num_buckets()
     refs, _ = _materialized_blocks(ds.select_columns([key]))
@@ -437,17 +476,17 @@ def counted_key_survivors(
     # same driver-ref ceiling as exchange_group_apply
     parts = [split.remote(*grp) for grp in _group_refs(refs, nb)]
 
-    @ray.remote
+    @ray.remote(num_returns=2)
     def survivors(*arrs):
         arrs = [a for a in arrs if a.size]
         if not arrs:
-            return np.empty(0, np.int64)
-        allk = np.concatenate(arrs)
-        u, c = np.unique(allk, return_counts=True)
+            return pa.array([], pa.int64()), 0
+        u, c = np.unique(np.concatenate(arrs), return_counts=True)
         m = c >= min_count
         if max_count is not None:
             m &= c <= max_count
-        return u[m]
+        out = pa.array(u[m])
+        return out, out.nbytes
 
     if nb == 1:
         outs = [survivors.remote(*parts)]
@@ -456,17 +495,12 @@ def counted_key_survivors(
             survivors.remote(*[parts[i][j] for i in range(len(parts))])
             for j in range(nb)
         ]
-    chunks: list[np.ndarray] = []
-    total = 0
-    for ref in outs:
-        a = ray.get(ref)
-        total += len(a)
-        if total > cap:
-            return None
-        chunks.append(a)
-    if not chunks or total == 0:
+    if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
+        return None
+    chunks = [a for a in ray.get([a for a, _ in outs]) if len(a)]
+    if not chunks:
         return pa.array([], pa.int64())
-    return pa.array(np.concatenate(chunks))
+    return pa.concat_arrays(chunks)
 
 
 def grouped_top_k(

@@ -221,21 +221,18 @@ def minhash_dedup_incremental(
     shingle_words: int = 3,
     agreement: float = 0.8,
     max_block_size: int = 64,
-    max_broadcast_ids: int = 50_000_000,
     num_buckets: int | None = None,
-    strategy: str = "auto",
     timings: dict | None = None,
 ):
     """See module docstring. Returns surviving rows of ``ds`` (original
     schema) as a Dataset; registers their sketches under
     ``state_dir/increment=<name>/``.
 
-    ``strategy``: how candidate pairs get their signatures for agreement
-    verification — ``"broadcast"`` (sig side filtered to candidate
-    ENDPOINTS, published once, map-side verify against a worker-cached
-    id→matrix lookup), ``"join"`` (id-keyed bucketed joins), or ``"auto"``
-    (broadcast while the endpoint sketches fit a worker heap —
-    blocking.BROADCAST_PAYLOAD_LIMIT over 2·n_cands sketch bytes).
+    Candidate pairs get their signatures for agreement verification by
+    broadcast (sig side filtered to the candidate ENDPOINTS, published
+    once, map-side verify against a worker-cached id→matrix lookup) while
+    the endpoint sketches pass the payload gate (``joins.choose_arm``),
+    else by id-keyed bucketed joins.
 
     ``timings``: optional dict filled with per-phase wall seconds
     (sketch_new, store_scan, store_scan_wait, candidates, sig_attach,
@@ -244,12 +241,20 @@ def minhash_dedup_incremental(
     import threading
     import time
 
-    import ray
     import ray.data as rd
 
     from .clustering import connected_components
     from .groupby import distinct_rows, exchange_group_apply
-    from .joins import BroadcastSemiJoin, bucketed_anti_semi_join, bucketed_join
+    from .joins import (
+        BroadcastSemiJoin,
+        bucketed_anti_semi_join,
+        bucketed_join,
+        cached_side,
+        choose_arm,
+        consolidated_refs,
+        pair_endpoints,
+        put_broadcast,
+    )
     from .scoring import pool_map_batches
 
     tick = time.perf_counter
@@ -349,45 +354,28 @@ def minhash_dedup_incremental(
 
     import pyarrow.compute as pc
 
-    # Verification strategy: ``broadcast`` filters the sig side to the
-    # CANDIDATE ENDPOINTS first (≤ 2·n_cands rows — the store itself can be
+    # Verification: the broadcast arm filters the sig side to the CANDIDATE
+    # ENDPOINTS first (≤ 2·n_cands rows — the store itself can be
     # arbitrarily large, only endpoint sketches ride the broadcast),
     # publishes that side once (consolidated_refs), and verifies map-side
     # against a worker-cached (id → signature-matrix) lookup — zero renamed
     # copies, zero pair shuffles. A first cut broadcast the WHOLE store and
     # was 30× slower than this on a 400k-doc store with 3k candidates:
     # every worker paid a full-store matrix build to verify a handful of
-    # pairs. Past the gate (endpoint sketches beyond a worker heap) the
+    # pairs. Past the gates (endpoint ids or their sketches too big) the
     # id-keyed bucketed-join arm attaches both signatures instead.
-    from .blocking import BROADCAST_PAYLOAD_LIMIT
+    t0 = tick()
+    endpoints = pair_endpoints(cands, ["new_id", "other_id"])
+    ep_sigs = None
+    if endpoints is not None:
+        ep_sigs = sig_lookup.map_batches(
+            BroadcastSemiJoin(put_broadcast(endpoints), id_col), batch_format="pyarrow"
+        ).materialize()
 
-    if strategy == "auto":
-        est_side = 2 * n_cands * (num_perm * 8 + 8)  # int64 sig lists + id
-        strategy = "broadcast" if est_side <= BROADCAST_PAYLOAD_LIMIT else "join"
-
-    if strategy == "broadcast":
+    if ep_sigs is not None and choose_arm(ep_sigs) == "broadcast":
         from ..functions.arrays import list_column_to_matrix
-        from .joins import cached_side, consolidated_refs
 
-        t0 = tick()
-        # endpoint ids: per-block Arrow unique, driver merge (bounded by the
-        # gate above — the same shape as dedup._needed_ids)
-        ep_chunks: list = []
-        for b in cands.select_columns(["new_id", "other_id"]).iter_batches(
-            batch_format="pyarrow"
-        ):
-            for cname in ("new_id", "other_id"):
-                col = b.column(cname)
-                ep_chunks.extend(
-                    col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-                )
-        endpoints = pc.unique(pa.chunked_array(ep_chunks))
-        ep_ref = ray.put(endpoints)
-        side_refs = consolidated_refs(
-            sig_lookup.map_batches(
-                BroadcastSemiJoin(ep_ref, id_col), batch_format="pyarrow"
-            )
-        )
+        side_refs = consolidated_refs(ep_sigs)
         _mark("sig_attach", t0)
 
         def _sig_lookup_build(t: pa.Table):
@@ -424,9 +412,8 @@ def minhash_dedup_incremental(
             verify_bcast, batch_format="pandas"
         ).materialize()
         _mark("verify", t0)
-    else:  # "join": the beyond-heap-store arm (auto past 1 GiB of sketches)
+    else:  # exchange: the beyond-heap-store arm
         # attach both signatures (id-keyed bucketed joins; sig rows only)
-        t0 = tick()
         sl = sig_lookup.map_batches(
             lambda t: t.rename_columns(["_sid", "sig_l"]), batch_format="pyarrow"
         ).materialize()
@@ -488,15 +475,15 @@ def minhash_dedup_incremental(
     _mark("cc", t0)
 
     bad_ids = pa.array(sorted(bad_cross | dropped_nn), pa.int64())
-    if len(bad_ids) <= max_broadcast_ids:
-        ref = ray.put(bad_ids)
+    if choose_arm(bad_ids.nbytes, key_set=True) == "broadcast":
+        ref = put_broadcast(bad_ids)
         survivors = ds.map_batches(
             BroadcastSemiJoin(ref, id_col, anti=True), batch_format="pyarrow"
         )
         kept_sigs = sigt.map_batches(
             BroadcastSemiJoin(ref, id_col, anti=True), batch_format="pyarrow"
         )
-    else:  # pragma: no cover - needs a >50M-dup increment
+    else:
         bad_ds = rd.from_arrow(pa.table({"_bad": bad_ids}))
         survivors = bucketed_anti_semi_join(
             ds, bad_ds, id_col, "_bad", anti=True, num_buckets=num_buckets

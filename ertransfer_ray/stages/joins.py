@@ -1,25 +1,50 @@
 """Join/lookup stages (reference J3/J5/J6 family).
 
-Strategy selection, per the scale rules this engine is designed around:
+Two arms, per the scale rules this engine is designed around:
 
-- **Small side** (dimension table, golden pair set, blocklist): broadcast
-  once via ``ray.put`` and look up inside ``map_batches`` — no shuffle.
-  This is the engine's analog of the reference's id → payload ``.loc`` join
+- **Small side** (dimension table, golden pair set, blocklist, payload
+  lookup, key set): broadcast once via ``ray.put`` and look up inside
+  ``map_batches`` — no shuffle. This is the engine's analog of the
+  reference's id → payload ``.loc`` join
   (/root/reference/splitters/KNN-Join/splitter.py:96-103) and golden-set
   membership label (splitter.py:89-91).
-- **Both sides large**: ``bucketed_join`` — a tagged union of both sides
-  through one hash exchange on the key (``groupby.exchange_group_apply``),
-  merged per bucket. Ray Data's ``Dataset.join`` is not used.
+- **Both sides large**: ``bucketed_join`` / ``bucketed_anti_semi_join`` —
+  a tagged union of both sides through one hash exchange on the key
+  (``groupby.exchange_group_apply``), merged per bucket. Ray Data's
+  ``Dataset.join`` is not used.
+
+Which arm a stage takes is decided in one place, :func:`choose_arm`: it
+measures the side (:func:`side_bytes`) and compares it with the limit of
+the primitive the side feeds — :data:`PAYLOAD_LIMIT` for a lookup table
+every worker holds whole, :data:`KEY_SET_LIMIT` for a key set probed with
+``is_in``. No stage keeps a limit or a switch of its own.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+
+_log = logging.getLogger(__name__)
+
+#: Worker-heap budget for a broadcast PAYLOAD LOOKUP — a side every worker
+#: holds whole and indexes into: (id → text / vector / title+payload /
+#: sketch) tables, drop lists, a term vocabulary. 1 GiB of Arrow bytes.
+PAYLOAD_LIMIT = 1 << 30
+
+#: Byte knee for a broadcast KEY SET probed with ``pc.is_in``. Tighter than
+#: the payload limit because ``is_in`` rebuilds its hash set from the value
+#: set on every kernel call, so huge sets convoy the filter tasks: measured
+#: 29.6 s end-to-end at ~40 MB of string keys (0.8M) against 121.7 s at
+#: ~150 MB (3.2M) in ``crawl.latest_capture_per_url`` on a 4M-capture
+#: corpus at 32 CPUs. 64 MiB (~1.3M url keys, ~8M int64 ids) stays on the
+#: good side of that knee; past it the bucketed exchange is the faster arm.
+KEY_SET_LIMIT = 64 << 20
 
 
 def put_broadcast(obj) -> "ray.ObjectRef":
@@ -86,11 +111,11 @@ class BroadcastSemiJoin:
         self._keys: pa.Array | None = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if self._keys is None:
             keys = ray.get(self._ref) if isinstance(self._ref, ray.ObjectRef) else self._ref
             self._keys = keys if isinstance(keys, pa.Array) else pa.array(list(keys))
+        if len(self._keys) == 0:  # an empty set may not carry the key's type
+            return batch if self.anti else batch.slice(0, 0)
         # null keys are never "in" the set (fill before invert so anti keeps
         # null rows, matching Python `None in set` → False semantics)
         mask = pc.fill_null(
@@ -99,6 +124,88 @@ class BroadcastSemiJoin:
         if self.anti:
             mask = pc.invert(mask)
         return batch.filter(mask)
+
+
+def side_bytes(ds) -> int:
+    """Arrow bytes of a broadcast candidate side. A materialized side reads
+    its block metadata. A lazy one runs ONE streaming meter pass: each batch
+    emits its byte count and only those counts reach the driver, so nothing
+    materializes, and the total is exact — a head sample underestimates
+    whenever row size follows input order (crawl segments sorted by date,
+    texts sorted by length) and would broadcast a side that does not fit."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return int(ds.size_bytes() or 0)
+
+    def meter(t: pa.Table) -> pa.Table:
+        return pa.table({"bytes": pa.array([t.nbytes], pa.int64())})
+
+    return sum(
+        int(pc.sum(b.column("bytes")).as_py() or 0)
+        for b in ds.map_batches(meter, batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
+    )
+
+
+def choose_arm(side, key_set: bool = False) -> str:
+    """The broadcast-or-exchange gate: ``"broadcast"`` when ``side`` fits
+    the limit of the primitive it feeds, else ``"exchange"``. ``side`` is a
+    Dataset (measured by :func:`side_bytes`) or a byte count the caller
+    already holds. ``key_set=True``: a key set probed with ``is_in``
+    (:data:`KEY_SET_LIMIT`); otherwise a payload lookup
+    (:data:`PAYLOAD_LIMIT`)."""
+    nbytes = int(side) if isinstance(side, (int, np.integer)) else side_bytes(side)
+    limit = KEY_SET_LIMIT if key_set else PAYLOAD_LIMIT
+    arm = "broadcast" if nbytes <= limit else "exchange"
+    _log.debug("broadcast gate: %d bytes, limit %d: %s", nbytes, limit, arm)
+    return arm
+
+
+def collect_key_set(ds, col: str) -> pa.Array | None:
+    """The distinct values of ``col``, sorted (a byte-stable broadcast
+    artifact at any parallelism), or ``None`` when the column is past
+    :data:`KEY_SET_LIMIT` and the caller takes its exchange arm. The column
+    is materialized once and gated on its block metadata, so the driver
+    never collects a set that does not fit."""
+    from .groupby import _materialized_blocks, materialized
+
+    keys = materialized(ds)
+    if keys.count() == 0:  # its blocks may carry no schema at all
+        return pa.array([], pa.int64())
+    if keys.schema().names != [col]:
+        keys = keys.select_columns([col]).materialize()
+    if choose_arm(keys, key_set=True) == "exchange":
+        return None
+    # the blocks straight from the object store: iterating the Dataset would
+    # start a second streaming execution for data that is already there
+    refs, _ = _materialized_blocks(keys)
+    chunks = [
+        c
+        for b in ray.get(refs)
+        for c in (b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)).column(col).chunks
+    ]
+    u = pc.unique(pa.chunked_array(chunks))
+    return u.take(pc.array_sort_indices(u))
+
+
+def pair_endpoints(pairs, cols: list[str]) -> pa.Array | None:
+    """The distinct ids a pair table references in its endpoint columns
+    ``cols`` (left and right), through :func:`collect_key_set`. Each batch
+    uniques its own endpoints first, so an id reaches the driver about once
+    per batch rather than once per pair."""
+
+    def batch_unique(t: pa.Table) -> pa.Table:
+        chunks = [c for name in cols for c in t.column(name).chunks]
+        if not chunks:
+            return pa.table({"key": pa.array([], t.schema.field(cols[0]).type)})
+        return pa.table({"key": pc.unique(pa.chunked_array(chunks))})
+
+    return collect_key_set(
+        pairs.select_columns(cols).map_batches(batch_unique, batch_format="pyarrow"),
+        "key",
+    )
 
 
 class BroadcastHashJoin:
@@ -162,8 +269,6 @@ def bucketed_anti_semi_join(
     never read; measured 7.7x the build-side bytes on an 8-column probe
     schema, 1.5x the whole tagged union at equal side sizes.)
     """
-    import pyarrow.compute as pc
-
     from .groupby import exchange_group_apply
 
     build_on = build_on or probe_on
@@ -199,9 +304,10 @@ def bucketed_anti_semi_join(
             }
         )
 
-    both = probe.map_batches(tag_probe, batch_format="pyarrow").union(
-        build.map_batches(tag_build, batch_format="pyarrow")
-    )
+    both = [
+        probe.map_batches(tag_probe, batch_format="pyarrow"),
+        build.map_batches(tag_build, batch_format="pyarrow"),
+    ]
 
     def filter_bucket(t: pa.Table) -> pa.Table:
         if "_side" not in t.column_names:  # schema-less all-empty bucket
@@ -294,8 +400,6 @@ def asof_join(
     tiny even for the hottest key. Only ``direction`` backward/forward
     support banding.
     """
-    import pyarrow.compute as pc
-
     from .groupby import exchange_group_apply
 
     right_on = right_on or on
@@ -358,9 +462,9 @@ def asof_join(
 
     l_tag = left.map_batches(tag(0, by, l_cols, on), batch_format="pyarrow")
     r_tag = right.map_batches(tag(1, right_by, r_cols, right_on), batch_format="pyarrow")
-    both = l_tag.union(r_tag)
+    both = [l_tag, r_tag]
     if band is not None:
-        both = both.union(
+        both.append(
             _asof_carry_rows(
                 l_tag, r_tag, right_on, ties, ties_asc, direction, types,
                 r_cols, jk_type, on_type, num_buckets,
@@ -430,8 +534,6 @@ def _asof_carry_rows(
     (key, band) exchange as an ordinary right row. Ships one demand row and
     one band-best row per (key, band) — O(active bands per key), never
     O(rows)."""
-    import pyarrow.compute as pc
-
     from .groupby import exchange_group_apply
 
     asc = [True] + [ties_asc] * len(ties)
@@ -479,9 +581,10 @@ def _asof_carry_rows(
         return m[out_cols]
 
     carried = exchange_group_apply(
-        l_tag.map_batches(demands, batch_format="pyarrow").union(
-            r_tag.map_batches(batch_bests, batch_format="pyarrow")
-        ),
+        [
+            l_tag.map_batches(demands, batch_format="pyarrow"),
+            r_tag.map_batches(batch_bests, batch_format="pyarrow"),
+        ],
         "_jk",
         carry,
         num_buckets,
@@ -575,8 +678,6 @@ def range_join(
     on one key, 32 CPUs, identical 114,613-pair output): band=2h 0.31 s
     warm / 3.7 s cold vs 40.8–65.6 s unbanded — see BASELINE.md.
     """
-    import pyarrow.compute as pc
-
     from .groupby import exchange_group_apply
 
     right_by = right_by or by
@@ -640,9 +741,10 @@ def range_join(
 
         return fn
 
-    both = left.map_batches(
-        tag(0, by, l_cols), batch_format="pyarrow"
-    ).union(right.map_batches(tag(1, right_by, r_cols), batch_format="pyarrow"))
+    both = [
+        left.map_batches(tag(0, by, l_cols), batch_format="pyarrow"),
+        right.map_batches(tag(1, right_by, r_cols), batch_format="pyarrow"),
+    ]
 
     def merge_bucket(t: pa.Table) -> pd.DataFrame:
         if "_side" not in t.column_names:
@@ -759,8 +861,6 @@ def bucketed_join(
     strings when either side's key is non-integer, natively when both are
     ints — int keys then ride the exchange's fixed-width hash fast path).
     """
-    import pyarrow.compute as pc
-
     from .groupby import exchange_group_apply
 
     right_on = right_on or left_on
@@ -796,9 +896,10 @@ def bucketed_join(
 
         return fn
 
-    both = left.map_batches(
-        tag(0, left_on, l_cols), batch_format="pyarrow"
-    ).union(right.map_batches(tag(1, right_on, r_cols), batch_format="pyarrow"))
+    both = [
+        left.map_batches(tag(0, left_on, l_cols), batch_format="pyarrow"),
+        right.map_batches(tag(1, right_on, r_cols), batch_format="pyarrow"),
+    ]
 
     # original dtypes: absent-side nulls degrade columns that rode a mixed
     # pandas conversion to object (e.g. int8 flags). Restore after the merge

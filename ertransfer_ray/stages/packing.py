@@ -226,15 +226,15 @@ def packed_sequences(
     def assemble(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
-        if df.empty:
-            return pd.DataFrame(
+        if df.empty:  # typed like a full bucket's output, strings included
+            return pa.table(
                 {
-                    "seq_id": pd.Series([], dtype=np.int64),
-                    "n_tokens": pd.Series([], dtype=np.int64),
-                    "n_docs": pd.Series([], dtype=np.int64),
-                    "first_token": pd.Series([], dtype=object),
-                    "last_token": pd.Series([], dtype=object),
-                    "tokens": pd.Series([], dtype=object),
+                    "seq_id": pa.array([], pa.int64()),
+                    "n_tokens": pa.array([], pa.int64()),
+                    "n_docs": pa.array([], pa.int64()),
+                    "first_token": pa.array([], pa.string()),
+                    "last_token": pa.array([], pa.string()),
+                    "tokens": pa.array([], pa.list_(pa.string())),
                 }
             )
         df = df.sort_values(["seq_id", "pos"], kind="stable")

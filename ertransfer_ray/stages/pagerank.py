@@ -105,8 +105,8 @@ def pagerank(
     # zero-contribution row per node: nodes without in-edges still get a
     # row out of the combine (they keep exactly the teleport mass)
     zeros = nodes.map_batches(
-        lambda df: pd.DataFrame({"dst": df["src"].astype(np.int64),
-                                 "contrib": np.zeros(len(df))}),
+        lambda df: pa.table({"dst": df["src"].to_numpy(np.int64),
+                             "contrib": np.zeros(len(df))}),
         batch_format="pandas",
     ).materialize()
 
@@ -141,8 +141,7 @@ def pagerank(
         return m.groupby("dst", as_index=False)["contrib"].sum()
 
     for _ in range(iterations):
-        both = edges.union(ranks)
-        partials = exchange_group_apply(both, "src", bucket, num_buckets)
+        partials = exchange_group_apply([edges, ranks], "src", bucket, num_buckets)
         inflow = grouped_aggregate(
             partials.union(zeros), "dst", {"contrib": ("contrib", "sum")},
             num_buckets,

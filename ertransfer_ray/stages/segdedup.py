@@ -35,9 +35,9 @@ Scale shape (the 100 TB contract):
   smaller exchange (≤ docs × buckets rows).
 - the rewrite's drop list is only the duplicated NON-FIRST occurrences
   (16 B each); dedup hit rates make it far smaller than the corpus, so it
-  broadcasts map-side by default (no text shuffle at all) and degrades to
-  a doc_id-bucketed tagged-union exchange past the broadcast gate — the
-  same auto strategy rule as the near-dup verifiers (``dedup._auto_strategy``).
+  broadcasts map-side (no text shuffle at all) while it passes the payload
+  gate (``joins.choose_arm``, the gate of every broadcast in the engine)
+  and degrades to a doc_id-bucketed tagged-union exchange past it.
 """
 
 from __future__ import annotations
@@ -171,12 +171,6 @@ def segment_dup_stats(
 # rewrite: drop every duplicated occurrence except the global first
 # ---------------------------------------------------------------------------
 
-#: broadcast the drop list map-side while its (doc_id, seg_no) rows stay
-#: under this many bytes on the driver-visible estimate (same order as
-#: blocking.BROADCAST_PAYLOAD_LIMIT; drop rows are 16 B each)
-DROP_BROADCAST_LIMIT = 1 << 30
-
-
 def _drop_rows(df: pd.DataFrame, id_col: str, key: str) -> pd.DataFrame:
     """Bucket fn: duplicated occurrences that are NOT the global first
     (first = min (doc_id, seg_no) per segment value)."""
@@ -234,21 +228,12 @@ def drop_duplicate_segments(
     k: int = 5,
     out_col: str = "clean_text",
     fingerprint: bool = True,
-    strategy: str = "auto",
     num_buckets: int | None = None,
 ):
     """Dataset (id_col, out_col): each document's text with every duplicated
     segment occurrence except the global first removed; remainder words
     (len % k tail) always survive. Word separator is a single space.
-
-    ``strategy``: ``broadcast`` rewrites map-side against a broadcast drop
-    list (no text shuffle); ``join`` exchanges a (doc, text) ∪ (drop rows)
-    tagged union on doc_id; ``auto`` picks by the drop list's measured size.
-    """
-    import ray
-
-    if strategy not in ("auto", "broadcast", "join"):
-        raise ValueError(f"strategy must be auto|broadcast|join, got {strategy!r}")
+    The drop list reaches the text as in :func:`rewrite_with_drops`."""
     key = "seg_hash" if fingerprint else "seg"
     segs = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: _segment_rows(t, id_col, text_col, k, fingerprint, True),
@@ -257,17 +242,36 @@ def drop_duplicate_segments(
     drops = exchange_group_apply(
         segs, key, lambda df: _drop_rows(df, id_col, key), num_buckets
     ).materialize()
+    return rewrite_with_drops(
+        ds, drops, id_col, text_col, out_col, "seg_no",
+        lambda t, d: _rewrite_batch(t, d, id_col, text_col, k, out_col),
+        num_buckets,
+    )
 
-    if strategy == "auto":
-        n_drop = drops.count()
-        strategy = "broadcast" if 16 * n_drop < DROP_BROADCAST_LIMIT else "join"
 
+def rewrite_with_drops(
+    ds, drops, id_col: str, text_col: str, out_col: str, pos_col: str,
+    rewrite, num_buckets: int | None,
+):
+    """The two arms of a drop-list rewrite (segments here, spans in
+    ``spandedup``). ``drops`` is the materialized (id_col, pos_col) drop
+    list; ``rewrite(batch, drop_frame)`` rebuilds one batch of
+    (id_col, text_col) rows as (id_col, out_col).
+
+    - broadcast, while the drop list passes the payload gate
+      (``joins.choose_arm`` on its block metadata): the list is ``ray.put``
+      once and every batch rewrites map-side — no text shuffle;
+    - exchange: the (doc, text) rows and the drop rows ride one tagged
+      union exchanged on id_col, rewritten per bucket.
+    """
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
+
+    from .joins import _arrow_field_type, choose_arm
 
     # a map over an empty corpus emits zero typed blocks — pin the output
     # schema with one empty typed block (same trick as dedup._empty_pairs_ds)
-    from .joins import _arrow_field_type
-
     try:
         id_type = _arrow_field_type(ds.schema(), id_col)
     except Exception:  # noqa: BLE001 — schema unavailable: int64 ids (the norm)
@@ -275,24 +279,15 @@ def drop_duplicate_segments(
     schema_pin = rd.from_arrow(
         pa.table({id_col: pa.array([], id_type), out_col: pa.array([], pa.string())})
     )
+    src = ds.select_columns([id_col, text_col])
 
-    if strategy == "broadcast":
-        drop_df = drops.to_pandas()
-        ref = ray.put(drop_df)
-
-        def rewrite(t: pa.Table) -> pa.Table:
-            d = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            return _rewrite_batch(t, d, id_col, text_col, k, out_col)
-
+    if choose_arm(drops) == "broadcast":
+        ref = ray.put(drops.to_pandas())
         return schema_pin.union(
-            ds.select_columns([id_col, text_col]).map_batches(
-                rewrite, batch_format="pyarrow"
-            )
+            src.map_batches(lambda t: rewrite(t, ray.get(ref)), batch_format="pyarrow")
         )
 
-    # join arm: tagged union on doc_id — text rows side 0, drop rows side 1
-    import pyarrow.compute as pc
-
+    # exchange arm: tagged union on id_col — text rows side 0, drop rows side 1
     def tag_docs(t: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -306,14 +301,15 @@ def drop_duplicate_segments(
         return pa.table(
             {
                 id_col: pc.cast(t.column(id_col), pa.int64()),
-                "seg_no": pc.cast(t.column("seg_no"), pa.int64()),
+                pos_col: pc.cast(t.column(pos_col), pa.int64()),
                 "_side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
             }
         )
 
-    both = ds.select_columns([id_col, text_col]).map_batches(
-        tag_docs, batch_format="pyarrow"
-    ).union(drops.map_batches(tag_drops, batch_format="pyarrow"))
+    both = [
+        src.map_batches(tag_docs, batch_format="pyarrow"),
+        drops.map_batches(tag_drops, batch_format="pyarrow"),
+    ]
 
     def bucket(t: pa.Table):
         if "_side" not in t.column_names or text_col not in t.column_names:
@@ -322,12 +318,12 @@ def drop_duplicate_segments(
             )
         side = t.column("_side").to_numpy(zero_copy_only=False)
         docs_t = t.filter(pa.array(side == 0)).select([id_col, text_col])
-        if "seg_no" in t.column_names:
-            dr = t.filter(pa.array(side == 1)).select([id_col, "seg_no"]).to_pandas()
-            dr["seg_no"] = dr["seg_no"].astype(np.int64)
+        if pos_col in t.column_names:
+            dr = t.filter(pa.array(side == 1)).select([id_col, pos_col]).to_pandas()
+            dr[pos_col] = dr[pos_col].astype(np.int64)
         else:
-            dr = pd.DataFrame({id_col: [], "seg_no": pd.Series([], dtype=np.int64)})
-        return _rewrite_batch(docs_t, dr, id_col, text_col, k, out_col)
+            dr = pd.DataFrame({id_col: [], pos_col: pd.Series([], dtype=np.int64)})
+        return rewrite(docs_t, dr)
 
     return schema_pin.union(
         exchange_group_apply(both, id_col, bucket, num_buckets, fn_format="pyarrow")

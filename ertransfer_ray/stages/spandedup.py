@@ -37,13 +37,11 @@ Scale shape (the 100 TB contract):
 - the STATS operator's doc-keyed combine carries only documents with
   duplicated windows — n_windows finalizes map-side, never rides the
   exchange (a per-(doc, bucket) row for every doc anti-scaled: partial
-  volume grew with the bucket count). An opt-in ``broadcast`` arm trades
-  the doc combine for a (win_hash, cnt) count pass + dup-set broadcast,
-  for corpora known mostly-unique where the dup set fits a worker cache.
-- the rewrite broadcasts the drop list map-side below
-  ``segdedup.DROP_BROADCAST_LIMIT`` (text never rides a shuffle) and
-  degrades to the doc_id-bucketed tagged-union exchange past it — the
-  same auto rule as ``drop_duplicate_segments``.
+  volume grew with the bucket count).
+- the rewrite broadcasts the drop list map-side while it passes the
+  payload gate (text never rides a shuffle) and degrades to the
+  doc_id-bucketed tagged-union exchange past it — the same two arms as
+  ``drop_duplicate_segments`` (``segdedup.rewrite_with_drops``).
 
 Cost honesty: stride-1 windows mean the exchange carries ~24 B/TOKEN
 (hash + doc_id + pos) — the same order as reading the corpus once, which
@@ -62,7 +60,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .groupby import exchange_group_apply, grouped_aggregate
-from .segdedup import DROP_BROADCAST_LIMIT, _within_run_arange, _word_lists
+from .segdedup import _within_run_arange, _word_lists, rewrite_with_drops
 
 #: rolling-polynomial multiplier for combining word hashes into window
 #: hashes (mod 2^64; any odd constant with good bit mixing works — this is
@@ -151,16 +149,6 @@ def _window_rows(
     ).combine_chunks()
 
 
-#: broadcast the duplicated-hash set map-side while it stays under this
-#: many bytes (8 B per int64 hash; 32 MiB ≈ 4M hashes). Deliberately FAR
-#: tighter than DROP_BROADCAST_LIMIT: every recount batch binary-searches
-#: the whole set, so a 24M-hash set (193 MB — measured on the x640 bench
-#: corpus) turns each probe into a cache miss and the map pass into the
-#: bottleneck (209 s vs the exchange arm's 56 s at 8 CPUs). Past the gate
-#: the stats fall back to the window-keyed exchange.
-DUP_SET_BROADCAST_LIMIT = 1 << 25
-
-
 def window_dup_stats(
     ds,
     id_col: str = "doc_id",
@@ -168,15 +156,13 @@ def window_dup_stats(
     k: int = 20,
     fingerprint: bool = True,
     num_buckets: int | None = None,
-    strategy: str = "auto",
 ):
     """Per-document sliding-window duplication stats: Dataset
     (id_col, n_windows, dup_windows, dup_frac) over documents with ≥ k
     words (shorter documents have no windows and no row).
 
-    ``strategy``: ``exchange`` (what ``auto`` picks) is the always-safe
-    one-pass window-keyed exchange. Its doc-keyed combine carries only
-    documents that HAVE duplicated windows in a bucket — ``n_windows``
+    One pass through a window-keyed exchange. Its doc-keyed combine
+    carries only documents that HAVE duplicated windows in a bucket — ``n_windows``
     rides as ONE tagged base row per document (pos = -(n_windows+1),
     exact map-side since a document is one input row) — which keeps the
     partial volume from growing with the bucket count. The original
@@ -186,35 +172,12 @@ def window_dup_stats(
     old shape ran 57.9 s at 8 CPUs → 55.5 s at 32 (flat) while this
     shape ran 72.1 s → 31.8 s (2.3× from 4× CPUs; 1.7× faster than old
     at 32). The ~20 % 8-CPU premium is the base-row emit + combine.
-    ``broadcast``
-    (fingerprint only, opt-in) runs a COUNT pass whose exchange carries
-    (win_hash, cnt) partials, then broadcasts the duplicated-hash set
-    and recounts map-side with no doc-keyed exchange; it wins only when
-    the corpus is known mostly-unique — the dup set must fit
-    ``DUP_SET_BROADCAST_LIMIT`` (every recount batch binary-searches it)
-    and the count exchange is as heavy as the window exchange, which is
-    why ``auto`` does not probe it (measuring the dup set costs the full
-    count pass; on the x640 bench corpus the probe-then-fallback shape
-    was 209 s vs 56 s at 8 CPUs). Falls back to ``exchange`` past the
-    gate.
+    (A broadcast of the duplicated-hash set with a map-side recount was
+    slower on the x640 bench corpus, 209 s against 56 s at 8 CPUs: its
+    count exchange is as heavy as the window exchange.)
     """
-    if strategy not in ("auto", "broadcast", "exchange"):
-        raise ValueError(
-            f"strategy must be auto|broadcast|exchange, got {strategy!r}"
-        )
-    if strategy == "broadcast" and not fingerprint:
-        raise ValueError("strategy='broadcast' requires fingerprint=True")
     key = "win_hash" if fingerprint else "win"
-
-    def emit(t: pa.Table) -> pa.Table:
-        return _window_rows(t, id_col, text_col, k, fingerprint)
-
     src = ds.select_columns([id_col, text_col])
-
-    if strategy == "broadcast":
-        stats = _dup_stats_broadcast(src, emit, id_col, num_buckets)
-        if stats is not None:
-            return stats
 
     def emit_with_base(t: pa.Table) -> pa.Table:
         # window rows plus ONE base row per document carrying n_windows
@@ -284,79 +247,6 @@ def _finalize_dup_frac(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def _dup_stats_broadcast(src, emit, id_col: str, num_buckets: int | None):
-    """Broadcast arm of :func:`window_dup_stats`; returns ``None`` when
-    the measured dup set is over the broadcast limit (caller falls back
-    to the exchange arm — same values, no cache-hostile giant probes)."""
-    import ray
-
-    def count_rows(t: pa.Table) -> pa.Table:
-        h = emit(t).column("win_hash").to_numpy(zero_copy_only=False)
-        u, c = np.unique(h, return_counts=True)
-        return pa.table(
-            {"win_hash": pa.array(u, pa.int64()),
-             "cnt": pa.array(c.astype(np.int64))}
-        )
-
-    def bucket_dups(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "win_hash" not in df.columns:
-            return pd.DataFrame({"win_hash": pd.Series([], dtype=np.int64)})
-        g = df.groupby("win_hash", as_index=False, sort=False)["cnt"].sum()
-        return g.loc[g["cnt"] > 1, ["win_hash"]].reset_index(drop=True)
-
-    dups = exchange_group_apply(
-        src.map_batches(count_rows, batch_format="pyarrow"),
-        "win_hash",
-        bucket_dups,
-        num_buckets,
-    ).materialize()
-    n_dup = dups.count()
-    if 8 * n_dup >= DUP_SET_BROADCAST_LIMIT:
-        return None
-    parts = [
-        b["win_hash"].to_numpy()
-        for b in dups.iter_batches(batch_format="pandas")
-    ]
-    dup_set = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    ref = ray.put(dup_set)
-
-    def recount(t: pa.Table) -> pa.Table:
-        wins = emit(t)
-        h = wins.column("win_hash").to_numpy(zero_copy_only=False)
-        ids = wins.column(id_col).to_numpy(zero_copy_only=False)
-        dset = ray.get(ref)
-        if len(dset):
-            idx = np.searchsorted(dset, h).clip(max=len(dset) - 1)
-            is_dup = dset[idx] == h
-        else:
-            is_dup = np.zeros(len(h), dtype=bool)
-        # _window_rows repeats each doc's id contiguously, so per-doc runs
-        # are whole within the batch and the stats are FINAL here.
-        if len(ids):
-            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-            n_win = np.diff(np.r_[starts, len(ids)])
-            dup_win = np.add.reduceat(is_dup.astype(np.int64), starts)
-        else:
-            starts = np.empty(0, np.int64)
-            n_win = np.empty(0, np.int64)
-            dup_win = np.empty(0, np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(ids[starts]) if len(ids)
-                else wins.column(id_col),
-                "n_windows": pa.array(n_win.astype(np.int64)),
-                "dup_windows": pa.array(dup_win),
-                "dup_frac": pa.array(
-                    dup_win / n_win.astype(np.float64)
-                    if len(n_win)
-                    else np.empty(0, np.float64)
-                ),
-            }
-        )
-
-    return src.map_batches(recount, batch_format="pyarrow")
-
-
 def _drop_rows(df: pd.DataFrame, id_col: str, key: str) -> pd.DataFrame:
     """Bucket fn: duplicated window occurrences that are NOT the global
     first (first = min (doc_id, pos) per window value)."""
@@ -415,22 +305,13 @@ def drop_duplicate_spans(
     k: int = 20,
     out_col: str = "clean_text",
     fingerprint: bool = True,
-    strategy: str = "auto",
     num_buckets: int | None = None,
 ):
     """Dataset (id_col, out_col): each document's text with every token
     covered by a duplicated non-first ``k``-word window removed. Word
     separator is a single space; documents with < k words are unchanged.
-
-    ``strategy``: ``broadcast`` rewrites map-side against a broadcast drop
-    list (no text shuffle); ``join`` exchanges a (doc, text) ∪ (drop rows)
-    tagged union on doc_id; ``auto`` picks by the drop list's measured size.
+    The drop list reaches the text as in ``segdedup.rewrite_with_drops``.
     """
-    import ray
-    import ray.data as rd
-
-    if strategy not in ("auto", "broadcast", "join"):
-        raise ValueError(f"strategy must be auto|broadcast|join, got {strategy!r}")
     key = "win_hash" if fingerprint else "win"
     wins = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: _window_rows(t, id_col, text_col, k, fingerprint),
@@ -439,76 +320,8 @@ def drop_duplicate_spans(
     drops = exchange_group_apply(
         wins, key, lambda df: _drop_rows(df, id_col, key), num_buckets
     ).materialize()
-
-    if strategy == "auto":
-        n_drop = drops.count()
-        strategy = "broadcast" if 16 * n_drop < DROP_BROADCAST_LIMIT else "join"
-
-    # pin the output schema with one empty typed block (a map over an
-    # empty corpus emits zero typed blocks — same trick as segdedup)
-    from .joins import _arrow_field_type
-
-    try:
-        id_type = _arrow_field_type(ds.schema(), id_col)
-    except Exception:  # noqa: BLE001 — schema unavailable: int64 ids (the norm)
-        id_type = pa.int64()
-    schema_pin = rd.from_arrow(
-        pa.table({id_col: pa.array([], id_type), out_col: pa.array([], pa.string())})
-    )
-
-    if strategy == "broadcast":
-        drop_df = drops.to_pandas()
-        ref = ray.put(drop_df)
-
-        def rewrite(t: pa.Table) -> pa.Table:
-            d = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            return _rewrite_batch(t, d, id_col, text_col, k, out_col)
-
-        return schema_pin.union(
-            ds.select_columns([id_col, text_col]).map_batches(
-                rewrite, batch_format="pyarrow"
-            )
-        )
-
-    # join arm: tagged union on doc_id — text rows side 0, drop rows side 1
-    import pyarrow.compute as pc
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: pc.cast(t.column(id_col), pa.int64()),
-                text_col: pc.cast(t.column(text_col), pa.string()),
-                "_side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def tag_drops(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: pc.cast(t.column(id_col), pa.int64()),
-                "pos": pc.cast(t.column("pos"), pa.int64()),
-                "_side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    both = ds.select_columns([id_col, text_col]).map_batches(
-        tag_docs, batch_format="pyarrow"
-    ).union(drops.map_batches(tag_drops, batch_format="pyarrow"))
-
-    def bucket(t: pa.Table):
-        if "_side" not in t.column_names or text_col not in t.column_names:
-            return pa.table(
-                {id_col: pa.array([], pa.int64()), out_col: pa.array([], pa.string())}
-            )
-        side = t.column("_side").to_numpy(zero_copy_only=False)
-        docs_t = t.filter(pa.array(side == 0)).select([id_col, text_col])
-        if "pos" in t.column_names:
-            dr = t.filter(pa.array(side == 1)).select([id_col, "pos"]).to_pandas()
-            dr["pos"] = dr["pos"].astype(np.int64)
-        else:
-            dr = pd.DataFrame({id_col: [], "pos": pd.Series([], dtype=np.int64)})
-        return _rewrite_batch(docs_t, dr, id_col, text_col, k, out_col)
-
-    return schema_pin.union(
-        exchange_group_apply(both, id_col, bucket, num_buckets, fn_format="pyarrow")
+    return rewrite_with_drops(
+        ds, drops, id_col, text_col, out_col, "pos",
+        lambda t, d: _rewrite_batch(t, d, id_col, text_col, k, out_col),
+        num_buckets,
     )

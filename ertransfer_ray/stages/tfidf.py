@@ -15,10 +15,10 @@ the (term, df) vocabulary (the only row-level exchange). When the
 vocabulary fits a worker heap (the common case — vocabularies are
 heavy-tailed, ~10^7 terms even at web scale) it broadcasts once and the
 top-k pass is MAP-SIDE: each document's terms are batch-local by
-construction, so scoring + ranking never shuffle. Past
-``max_broadcast_terms`` the fallback joins tf rows against the vocabulary
-on term and ranks per doc through the exchange — two more shuffles, same
-output.
+construction, so scoring + ranking never shuffle. Past the payload gate
+(``joins.choose_arm`` on the vocabulary's bytes) the fallback joins tf
+rows against the vocabulary on term and ranks per doc through the
+exchange — two more shuffles, same output.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def top_tfidf_terms(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 1,
-    max_broadcast_terms: int = 20_000_000,
     num_buckets: int | None = None,
 ):
     """Per-document top-``k`` TF-IDF terms: Dataset (id_col, term, tf, tfidf),
@@ -59,6 +58,7 @@ def top_tfidf_terms(
     import ray
 
     from .groupby import grouped_aggregate
+    from .joins import choose_arm
 
     n_docs = ds.count()
     if n_docs == 0:
@@ -87,7 +87,7 @@ def top_tfidf_terms(
         ).groupby(id_col, sort=False).head(k)
         return top[[id_col, "term", "tf", "tfidf"]].reset_index(drop=True)
 
-    if vocab.count() <= max_broadcast_terms:
+    if choose_arm(vocab) == "broadcast":
         terms, dfs = [], []
         for b in vocab.iter_batches(batch_format="pandas"):
             terms.append(b["term"].to_numpy(dtype=object))

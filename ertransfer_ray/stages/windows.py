@@ -248,8 +248,9 @@ def grouped_quantiles(
         raise ValueError(f"duplicate quantile column names derived from {qs}: {cols}")
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({key_col: [], **{c: [] for c in cols}})
+        if df.empty:  # the key keeps its dtype, like a full bucket's output
+            key = df[key_col] if key_col in df.columns else []
+            return pd.DataFrame({key_col: key, **{c: pd.Series([], dtype=float) for c in cols}})
         g = df.groupby(key_col, sort=False)[value_col].quantile(list(qs)).unstack()
         g.columns = cols
         return g.reset_index()

@@ -153,13 +153,13 @@ def test_transfer_kl_degenerate_range_is_zero(tmp_path):
     assert out["kl_divergence"].tolist() == [0.0]
 
 
-def test_auto_strategy_sees_size_skewed_tail(tmp_path):
+def test_auto_strategy_sees_size_skewed_tail(tmp_path, monkeypatch):
     """Tiny head file + giant tail file: the round-3 head-of-corpus sample
-    estimated from the first ~2048 rows and would pick broadcast; the exact
-    metering pass must see the tail and pick join."""
+    estimated from the first ~2048 rows and would pick broadcast; the gate's
+    exact metering pass must see the tail and pick the exchange."""
     import pyarrow.parquet as pq
 
-    from ertransfer_ray.stages.dedup import _auto_strategy
+    from ertransfer_ray.stages import joins
 
     head = pa.table({"id": pa.array(range(3000), pa.int64()),
                      "text": pa.array(["a"] * 3000)})
@@ -167,13 +167,14 @@ def test_auto_strategy_sees_size_skewed_tail(tmp_path):
                      "text": pa.array(["z" * 4096] * 100)})
     pq.write_table(head, str(tmp_path / "0.parquet"))
     pq.write_table(tail, str(tmp_path / "1.parquet"))
-    limit = 256 * 1024
-    # head alone: ~40 KB projected, 2x < limit → broadcast
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 256 * 1024)
+    # head alone: ~40 KB projected, under the limit → broadcast
     ds_head = rd.read_parquet(str(tmp_path / "0.parquet"))
-    assert _auto_strategy(ds_head, "id", "text", max_broadcast_bytes=limit) == "broadcast"
-    # head + tail: tail alone is ~410 KB, 2x > limit → join
+    assert joins.choose_arm(ds_head) == "broadcast"
+    # head + tail: tail alone is ~410 KB, over the limit → exchange
     ds = rd.read_parquet(str(tmp_path))
-    assert _auto_strategy(ds, "id", "text", max_broadcast_bytes=limit) == "join"
+    assert joins.side_bytes(ds) > 100 * 4096  # every tail row is metered
+    assert joins.choose_arm(ds) == "exchange"
 
 
 def test_transfer_kl_missing_target_raises(tmp_path):

@@ -3,6 +3,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ertransfer_ray.pipelines.er_pipeline import normalize_pages
+from ertransfer_ray.stages import blocking, joins
 from ertransfer_ray.stages.blocking import (
     BlockKeyEmitter,
     blocking_stats,
@@ -82,9 +83,9 @@ def test_cross_band_dedup():
     assert len(pairs) == 1
 
 
-def test_singleton_prefilter_preserves_pairs_and_fallback():
+def test_singleton_prefilter_preserves_pairs_and_fallback(monkeypatch):
     # mixture of singleton and pairable keys; prefilter must not change the
-    # output, and the cap-exceeded fallback (survivors=None) must match too
+    # output, and the past-the-gate fallback (survivors=None) must match too
     keyed = pa.table(
         {
             "block_key": ["k1", "k1", "s1", "s2", "k2", "k2", "k2", "s3"],
@@ -92,11 +93,11 @@ def test_singleton_prefilter_preserves_pairs_and_fallback():
         }
     )
     ds = rd.from_arrow(keyed)
-    want = generate_pairs(ds, prefilter_singletons=False).to_pandas()
-    got = generate_pairs(ds, prefilter_singletons=True).to_pandas()
-    capped = generate_pairs(
-        ds, prefilter_singletons=True, max_broadcast_keys=0
-    ).to_pandas()
+    want = generate_pairs(ds).to_pandas()  # 8 key rows: no prefilter
+    monkeypatch.setattr(blocking, "PREFILTER_MIN_ROWS", 0)
+    got = generate_pairs(ds).to_pandas()
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    capped = generate_pairs(ds).to_pandas()
     key = ["left_url", "right_url"]
     for df in (want, got, capped):
         df.sort_values(key, inplace=True, ignore_index=True)
@@ -107,11 +108,10 @@ def test_singleton_prefilter_preserves_pairs_and_fallback():
     }
 
 
-def test_singleton_prefilter_all_singletons_empty_output():
+def test_singleton_prefilter_all_singletons_empty_output(monkeypatch):
+    monkeypatch.setattr(blocking, "PREFILTER_MIN_ROWS", 0)
     keyed = pa.table({"block_key": ["s1", "s2", "s3"], "url": ["a", "b", "c"]})
-    out = generate_pairs(
-        rd.from_arrow(keyed), prefilter_singletons=True
-    ).to_pandas()
+    out = generate_pairs(rd.from_arrow(keyed)).to_pandas()
     assert len(out) == 0
 
 
@@ -129,9 +129,10 @@ def test_blocking_recall_on_corpus(pages_corpus):
     assert stats["num_candidates"] < n_pages * 20, stats
 
 
-def test_attach_strategies_agree(pages_corpus):
-    # broadcast, needed-filtered join, and the past-cap unfiltered join must
-    # produce identical values (the cap fallback is the 10^12-pair regime)
+def test_attach_strategies_agree(pages_corpus, monkeypatch):
+    # broadcast, needed-filtered exchange, and the past-the-gate unfiltered
+    # exchange must produce identical values (the url-set fallback is the
+    # 10^12-pair regime)
     from ertransfer_ray.stages.blocking import attach_pair_payloads
 
     norm = _norm_ds(pages_corpus).materialize()
@@ -145,11 +146,9 @@ def test_attach_strategies_agree(pages_corpus):
         return df[sorted(df.columns)]
 
     base = canon(attach_pair_payloads(pairs, norm, num_buckets=4))
-    join = canon(attach_pair_payloads(pairs, norm, num_buckets=4, strategy="join"))
-    capped = canon(
-        attach_pair_payloads(
-            pairs, norm, num_buckets=4, strategy="join", max_broadcast_urls=1
-        )
-    )
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
+    join = canon(attach_pair_payloads(pairs, norm, num_buckets=4))
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    capped = canon(attach_pair_payloads(pairs, norm, num_buckets=4))
     pd.testing.assert_frame_equal(base, join)
     pd.testing.assert_frame_equal(base, capped)

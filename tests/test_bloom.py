@@ -92,8 +92,7 @@ def test_contamination_stats_bloom_arm_equals_exact_arms():
 
 def test_decontaminate_bloom_arm_equals_exact_arms():
     exact = (
-        decontaminate(_ds(CORPUS), _ds(EVAL), shingle_words=5, strategy="join",
-                      num_buckets=4)
+        decontaminate(_ds(CORPUS), _ds(EVAL), shingle_words=5, num_buckets=4)
         .to_pandas().sort_values("doc_id", ignore_index=True)
     )
     got = (

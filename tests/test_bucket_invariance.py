@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import blocking
 from ertransfer_ray.stages import groupby as gb
 from ertransfer_ray.stages.blocking import generate_pairs
 from ertransfer_ray.stages.clustering import reciprocal_top1
@@ -122,7 +123,7 @@ def _default_buckets(nb):
 
 
 def _survivors(nb):
-    s = gb.counted_key_survivors(_ds(_frame(400, 300, 6)), "k", nb, 10_000)
+    s = gb.counted_key_survivors(_ds(_frame(400, 300, 6)), "k", nb)
     return pd.DataFrame({"k": s.to_pylist()})
 
 
@@ -134,8 +135,9 @@ def _pairs(nb):
         "url": [f"u{v:03d}" for v in rng.integers(0, 200, n)],
         "norm_title": ["t"] * n,
     })
-    return generate_pairs(rd.from_arrow(keyed).repartition(4), num_buckets=nb,
-                          prefilter_singletons=True)
+    with pytest.MonkeyPatch.context() as mp:  # run the singleton prefilter
+        mp.setattr(blocking, "PREFILTER_MIN_ROWS", 0)
+        return generate_pairs(rd.from_arrow(keyed).repartition(4), num_buckets=nb)
 
 
 @pytest.mark.parametrize("run", [
@@ -213,6 +215,39 @@ def test_window_query_on_empty_events(tmp_path):
     out = q_hourly_event_stats(str(tmp_path))
     assert len(out) == 0
     assert list(out.columns) == ["event_type", "window_start", "n_events", "sum_value"]
+
+
+def test_queries_on_zero_row_tables(tmp_path):
+    """Queries that index or sort a result column keep their columns on
+    zero-row tables: every result conversion goes through
+    ``queries._pandas``, not a bare ``to_pandas()``."""
+    from ertransfer_ray.pipelines.queries import (
+        q_customer_order_counts,
+        q_distinct_event_types,
+        q_top1_order_per_customer,
+    )
+
+    pq.write_table(
+        pa.table({"event_type": pa.array([], pa.string())}),
+        tmp_path / "events.parquet",
+    )
+    pq.write_table(
+        pa.table({
+            "o_orderkey": pa.array([], pa.int64()),
+            "o_custkey": pa.array([], pa.int64()),
+            "o_totalprice": pa.array([], pa.float64()),
+        }),
+        tmp_path / "orders.parquet",
+    )
+    want = {
+        q_distinct_event_types: ["event_type"],
+        q_customer_order_counts: ["o_custkey", "n_orders"],
+        q_top1_order_per_customer: ["o_custkey", "o_orderkey", "o_totalprice"],
+    }
+    for query, cols in want.items():
+        out = query(str(tmp_path))
+        assert len(out) == 0, query.__name__
+        assert sorted(out.columns) == sorted(cols), query.__name__
 
 
 def test_default_num_buckets_is_two_per_cpu(ray_session):

@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.dedup import ngram_jaccard_pairs
 from ertransfer_ray.stages.groupby import counted_key_survivors, exchange_group_apply
 
@@ -15,30 +16,34 @@ def _keys(df):
 
 def test_band_bounds():
     d = _keys(pd.DataFrame({"k": [1, 1, 2, 2, 2, 3, 4, 4, 4, 4]}))
-    s = counted_key_survivors(d, "k", 4, 1000, min_count=2, max_count=3)
+    s = counted_key_survivors(d, "k", 4, min_count=2, max_count=3)
     assert sorted(s.to_pylist()) == [1, 2]
 
 
 def test_default_lower_bound_only():
     d = _keys(pd.DataFrame({"k": [1, 1, 2, 2, 2, 3, 4, 4, 4, 4]}))
-    s = counted_key_survivors(d, "k", 4, 1000)
+    s = counted_key_survivors(d, "k", 4)
     assert sorted(s.to_pylist()) == [1, 2, 4]
 
 
-def test_cap_exceeded_returns_none():
+def test_cap_exceeded_returns_none(monkeypatch):
+    # three int64 survivors are 24 bytes: past a 16-byte key-set limit
     d = _keys(pd.DataFrame({"k": [1, 1, 2, 2, 2, 3, 4, 4, 4, 4]}))
-    assert counted_key_survivors(d, "k", 4, cap=2) is None
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 24)
+    assert counted_key_survivors(d, "k", 4) is not None
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 16)
+    assert counted_key_survivors(d, "k", 4) is None
 
 
 def test_string_keys():
     d = _keys(pd.DataFrame({"k": ["a", "b", "a", "c", "b", "a"]}))
-    s = counted_key_survivors(d, "k", 2, 1000)
+    s = counted_key_survivors(d, "k", 2)
     assert sorted(s.to_pylist()) == ["a", "b"]
 
 
 def test_empty_input():
     d = _keys(pd.DataFrame({"k": pd.Series([], dtype="int64")}))
-    s = counted_key_survivors(d, "k", 4, 1000)
+    s = counted_key_survivors(d, "k", 4)
     assert len(s) == 0
 
 

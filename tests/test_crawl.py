@@ -4,8 +4,10 @@ deterministic ties, broadcast ≡ join arm."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.crawl import latest_capture_per_url
 
 
@@ -44,9 +46,14 @@ def _corpus() -> pa.Table:
     )
 
 
-def _run(strategy: str) -> pd.DataFrame:
+def _run(arm: str) -> pd.DataFrame:
+    """The output on the broadcast arm, or on the exchange arm forced by a
+    key-set limit of 0."""
     ds = rd.from_arrow(_corpus()).repartition(3)
-    out = latest_capture_per_url(ds, strategy=strategy).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        if arm == "exchange":
+            mp.setattr(joins, "KEY_SET_LIMIT", 0)
+        out = latest_capture_per_url(ds).to_pandas()
     return out.sort_values(["url_norm", "url"], ignore_index=True)
 
 
@@ -74,7 +81,7 @@ def test_latest_capture_semantics(ray_session):
 
 
 def test_broadcast_join_arms_agree(ray_session):
-    a, b = _run("broadcast"), _run("join")
+    a, b = _run("broadcast"), _run("exchange")
     pd.testing.assert_frame_equal(
         a, b[a.columns], check_like=True
     )

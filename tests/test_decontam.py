@@ -6,6 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ertransfer_ray.stages import decontam, joins
 from ertransfer_ray.stages.decontam import contamination_stats, decontaminate
 
 
@@ -57,57 +58,83 @@ EVAL = {
 }
 
 
-def test_contamination_stats_matches_bruteforce_both_arms():
+def test_contamination_stats_matches_bruteforce_both_arms(monkeypatch):
     want = _brute(CORPUS, EVAL, 5)
-    for strategy in ("broadcast", "join", "auto"):
+    for arm in ("broadcast", "exchange"):
+        if arm == "exchange":  # a payload limit of 0 forces the exchange arm
+            monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
         got = (
             contamination_stats(
-                _ds(CORPUS), _ds(EVAL), shingle_words=5, strategy=strategy,
-                num_buckets=4,
+                _ds(CORPUS), _ds(EVAL), shingle_words=5, num_buckets=4,
             )
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
         pd.testing.assert_frame_equal(
             got[want.columns], want, check_dtype=False
-        ), strategy
+        ), arm
 
 
-def test_decontaminate_removes_exactly_the_contaminated_docs():
+def test_decontaminate_removes_exactly_the_contaminated_docs(monkeypatch):
     want_bad = set(
         _brute(CORPUS, EVAL, 5).query("contaminated")["doc_id"]
     )
     assert want_bad == {1, 3, 4}  # fixture sanity: fox 5-gram + short-doc hit
-    for strategy in ("broadcast", "join"):
+    for arm in ("broadcast", "exchange"):
+        if arm == "exchange":
+            monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
         got = (
-            decontaminate(
-                _ds(CORPUS), _ds(EVAL), shingle_words=5, strategy=strategy,
-                num_buckets=4,
-            )
+            decontaminate(_ds(CORPUS), _ds(EVAL), shingle_words=5, num_buckets=4)
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
-        assert list(got["doc_id"]) == [2, 5], strategy
+        assert list(got["doc_id"]) == [2, 5], arm
         # all corpus columns survive the filter
-        assert set(got.columns) == {"doc_id", "text"}, strategy
+        assert set(got.columns) == {"doc_id", "text"}, arm
 
 
 def test_empty_eval_set_keeps_everything():
     empty = rd.from_arrow(
         pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
     )
-    got = decontaminate(_ds(CORPUS), empty, shingle_words=5, strategy="broadcast")
+    got = decontaminate(_ds(CORPUS), empty, shingle_words=5)
     assert len(got.to_pandas()) == len(CORPUS)
-    stats = contamination_stats(
-        _ds(CORPUS), empty, shingle_words=5, strategy="broadcast"
-    ).to_pandas()
+    stats = contamination_stats(_ds(CORPUS), empty, shingle_words=5).to_pandas()
     assert int(stats["n_hits"].sum()) == 0
     assert not stats["contaminated"].any()
 
 
-def test_full_overlap_eval_removes_all():
+def test_full_overlap_eval_removes_all(monkeypatch):
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)  # the exchange arm
     got = decontaminate(
-        _ds(CORPUS), _ds(CORPUS), shingle_words=5, strategy="join", num_buckets=4
+        _ds(CORPUS), _ds(CORPUS), shingle_words=5, num_buckets=4
     ).to_pandas()
     # every doc with >=1 shingle collides with itself; only the empty doc stays
     assert list(got["doc_id"]) == [5]
+
+
+def test_contaminated_ids_past_the_key_set_gate_take_the_anti_join(monkeypatch):
+    """With eval = corpus the contaminated-id set is the whole corpus. Past
+    the key-set gate (limit 0) it is not collected to the driver: the
+    bucketed anti-join removes those docs, and the output equals the
+    broadcast arm's."""
+    want = (
+        decontaminate(_ds(CORPUS), _ds(CORPUS), shingle_words=5)
+        .to_pandas().sort_values("doc_id", ignore_index=True)
+    )
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return joins.bucketed_anti_semi_join(*args, **kwargs)
+
+    monkeypatch.setattr(decontam, "bucketed_anti_semi_join", spy)
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    got = (
+        decontaminate(_ds(CORPUS), _ds(CORPUS), shingle_words=5, num_buckets=4)
+        .to_pandas().sort_values("doc_id", ignore_index=True)
+    )
+    assert calls == ["doc_id"]
+    assert list(want["doc_id"]) == [5]
+    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)

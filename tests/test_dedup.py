@@ -3,6 +3,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.dedup import (
     embedding_neardup_pairs,
     exact_dedup,
@@ -132,27 +133,24 @@ def test_embedding_neardup_exact_bucket():
     assert got == {(1, 2)}
 
 
-def test_auto_strategy_selects_join_past_byte_threshold():
-    """The dedup family's default must degrade to the join path on a
+def test_auto_strategy_selects_join_past_byte_threshold(monkeypatch):
+    """The dedup family's gate must take the exchange arm on a
     beyond-broadcast corpus instead of OOMing a worker (VERDICT r2 #1)."""
-    from ertransfer_ray.stages.dedup import _auto_strategy
+    side = _docs().select_columns(["doc_id", "text"])
+    assert joins.choose_arm(side) == "broadcast"
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 1)
+    assert joins.choose_arm(side) == "exchange"
 
-    assert _auto_strategy(_docs(), "doc_id", "text") == "broadcast"
-    assert _auto_strategy(_docs(), "doc_id", "text", max_broadcast_bytes=1) == "join"
 
-
-def test_auto_forced_join_agrees_with_broadcast():
-    """strategy='auto' forced onto the join arm (byte threshold 1) produces
-    the same verified pair set as the broadcast arm."""
+def test_auto_forced_join_agrees_with_broadcast(monkeypatch):
+    """The gate forced onto the exchange arm (payload limit 0) produces the
+    same verified pair set as the broadcast arm."""
     def canon(df):
         return sorted(zip(df["left_id"], df["right_id"], df["jaccard"].round(9)))
 
-    bc = minhash_lsh_dedup_pairs(
-        _docs(), jaccard_threshold=0.4, strategy="broadcast"
-    ).to_pandas()
-    auto_join = minhash_lsh_dedup_pairs(
-        _docs(), jaccard_threshold=0.4, strategy="auto", max_broadcast_bytes=1
-    ).to_pandas()
+    bc = minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4).to_pandas()
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
+    auto_join = minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4).to_pandas()
     assert canon(bc) == canon(auto_join)
 
 
@@ -243,8 +241,8 @@ def test_boilerplate_stats_broadcast_arm():
     assert out.iloc[11]["boilerplate_ratio"] == 0.0
 
 
-def test_boilerplate_stats_join_arm_agrees():
-    """Force the beyond-broadcast fallback (hot set 'too big' for a worker)
+def test_boilerplate_stats_join_arm_agrees(monkeypatch):
+    """Force the beyond-broadcast fallback (hot set past the key-set gate)
     and require identical output to the broadcast arm."""
     from ertransfer_ray.stages.dedup import boilerplate_shingle_stats
 
@@ -252,10 +250,9 @@ def test_boilerplate_stats_join_arm_agrees():
         boilerplate_shingle_stats(_boiler_docs(), hot_doc_freq=5)
         .to_pandas().sort_values("doc_id", ignore_index=True)
     )
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
     got = (
-        boilerplate_shingle_stats(
-            _boiler_docs(), hot_doc_freq=5, max_broadcast_keys=1
-        )
+        boilerplate_shingle_stats(_boiler_docs(), hot_doc_freq=5)
         .to_pandas().sort_values("doc_id", ignore_index=True)
     )
     import pandas as pd
@@ -315,9 +312,9 @@ def test_exact_dedup_incremental_rerun_is_idempotent(tmp_path):
     assert sorted(first["doc_id"]) == sorted(again["doc_id"]) == [1, 2]
 
 
-def test_exact_dedup_incremental_join_arm(tmp_path):
-    """Force the beyond-broadcast store path (max_broadcast_ids=0 makes the
-    seen side 'too big') and require the same survivors."""
+def test_exact_dedup_incremental_join_arm(tmp_path, monkeypatch):
+    """Force the beyond-broadcast store path (a key-set limit of 0 puts the
+    seen side past the gate) and require the same survivors."""
     import pandas as pd
     import ray.data as rd
 
@@ -333,9 +330,8 @@ def test_exact_dedup_incremental_join_arm(tmp_path):
     exact_dedup_incremental(inc1, s_b, "d1")
     want = exact_dedup_incremental(inc2, s_b, "d2").to_pandas()
     exact_dedup_incremental(inc1, s_j, "d1")
-    got = exact_dedup_incremental(
-        inc2, s_j, "d2", max_broadcast_ids=0
-    ).to_pandas()
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    got = exact_dedup_incremental(inc2, s_j, "d2").to_pandas()
     # doc 5 ("y") was seen on d1; doc 7 duplicates 6 within the increment
     assert sorted(got["doc_id"]) == sorted(want["doc_id"]) == [6]
 
@@ -481,9 +477,9 @@ def test_exact_dedup_incremental_bloom_zero_suspicious_and_sloppy_filter(tmp_pat
     assert sorted(got["doc_id"]) == list(range(1300, 1600))
 
 
-def test_exact_dedup_incremental_bloom_overflow_degrades_to_join(tmp_path):
-    """A mostly-recrawl increment overflows the suspicious-broadcast cap:
-    the arm must degrade to the bucketed anti-join and stay exact."""
+def test_exact_dedup_incremental_bloom_overflow_degrades_to_join(tmp_path, monkeypatch):
+    """A mostly-recrawl increment's suspicious set is past the key-set
+    gate: the arm must degrade to the bucketed anti-join and stay exact."""
     import pandas as pd
     import ray.data as rd
 
@@ -493,9 +489,8 @@ def test_exact_dedup_incremental_bloom_overflow_degrades_to_join(tmp_path):
     inc1 = rd.from_pandas(pd.DataFrame({"doc_id": [1, 2], "text": ["x", "y"]}))
     inc2 = rd.from_pandas(pd.DataFrame({"doc_id": [5, 6, 7], "text": ["y", "z", "z"]}))
     exact_dedup_incremental(inc1, state, "d1", seen_filter="bloom")
-    got = exact_dedup_incremental(
-        inc2, state, "d2", seen_filter="bloom", max_broadcast_ids=0
-    ).to_pandas()
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    got = exact_dedup_incremental(inc2, state, "d2", seen_filter="bloom").to_pandas()
     assert sorted(got["doc_id"]) == [6]
 
 

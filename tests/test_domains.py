@@ -7,6 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.domains import host_filter, host_stats, with_host
 
 
@@ -70,14 +71,15 @@ def test_host_stats_values():
 
 
 @pytest.mark.parametrize("strategy", ["broadcast", "join"])
-def test_host_filter_semantics_arms_equal(strategy):
+def test_host_filter_semantics_arms_equal(strategy, monkeypatch):
+    if strategy == "join":  # a key-set limit of 0 forces the exchange arm
+        monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
     out = (
         host_filter(
             _corpus(),
             blocklist=("c.example",),
             min_docs=2,
             max_share=0.4,
-            strategy=strategy,
         )
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)

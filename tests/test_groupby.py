@@ -119,9 +119,9 @@ def test_exchange_grouped_split_matches_ungrouped(monkeypatch):
     )
     pd.testing.assert_frame_equal(got, want)
 
-    surv = gb.counted_key_survivors(ds, "k2", 5, 10_000, min_count=2)
+    surv = gb.counted_key_survivors(ds, "k2", 5, min_count=2)
     monkeypatch.setattr(gb, "MAX_EXCHANGE_REFS", 1)
-    surv2 = gb.counted_key_survivors(ds, "k2", 5, 10_000, min_count=2)
+    surv2 = gb.counted_key_survivors(ds, "k2", 5, min_count=2)
     assert sorted(surv.to_pylist()) == sorted(surv2.to_pylist())
 
 
@@ -146,6 +146,37 @@ def test_exchange_reads_its_input_once(tmp_path, op, fmt):
         )
         assert out.to_pandas()["size"].sum() == len(df)
     else:
-        assert len(counted_key_survivors(lazy, "k", 3, 10_000)) == 37
+        assert len(counted_key_survivors(lazy, "k", 3)) == 37
     rows = [int(x) for x in log.read_text().split()]
     assert sum(rows) == len(df), rows
+
+
+@pytest.mark.parametrize("fn_format", ["pandas", "pyarrow"])
+def test_empty_buckets_keep_the_bucket_types(fn_format):
+    """A string key with more buckets than keys leaves most buckets empty.
+    Every output block of the exchange carries the string type, not
+    ``null``, so the result has one schema; when every bucket comes out
+    empty, the result still has the typed column."""
+    import pyarrow as pa
+    import ray
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "a"], "v": [1, 2, 3]}))
+
+    def blocks(keep_rows: bool):
+        def fn(bucket):
+            df = bucket.to_pandas() if fn_format == "pyarrow" else bucket
+            df = df.drop_duplicates("k")
+            return df if keep_rows else df.iloc[0:0]
+
+        out = exchange_group_apply(ds, "k", fn, num_buckets=8, fn_format=fn_format)
+        return [
+            ray.get(r) for bundle in out.iter_internal_ref_bundles() for r in bundle.block_refs
+        ]
+
+    full = blocks(True)
+    assert len(full) == 8 and sum(b.num_rows for b in full) == 2
+    for out in (full, blocks(False)):
+        assert all(b.schema.equals(out[0].schema) for b in out), [
+            str(b.schema.remove_metadata()) for b in out
+        ]
+        assert out[0].schema.field("k").type == pa.string()

@@ -3,8 +3,10 @@ within-increment keep-min, idempotent re-runs, store growth."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.incremental import minhash_dedup_incremental
 
 _WORDS = np.array(
@@ -129,22 +131,33 @@ def test_broadcast_and_join_verify_arms_agree(ray_session, tmp_path):
         (24, fresh),
     ]
     results = {}
-    for arm in ("broadcast", "join"):
+    # "join": a payload limit of 0 sends the sketches through the id-keyed
+    # joins; "key_sets": a key-set limit of 0 also anti-joins the dropped
+    # ids through the exchange
+    limits = {
+        "broadcast": {},
+        "join": {"PAYLOAD_LIMIT": 0},
+        "key_sets": {"PAYLOAD_LIMIT": 0, "KEY_SET_LIMIT": 0},
+    }
+    for arm, patched in limits.items():
         state = str(tmp_path / f"mh_{arm}")
-        minhash_dedup_incremental(
-            _ds(inc_a), state, "a", agreement=0.7, strategy=arm
-        ).materialize()
-        t: dict = {}
-        got = _ids(
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patched.items():
+                mp.setattr(joins, name, value)
             minhash_dedup_incremental(
-                _ds(inc_b), state, "b", agreement=0.7, strategy=arm, timings=t
+                _ds(inc_a), state, "a", agreement=0.7
+            ).materialize()
+            t: dict = {}
+            got = _ids(
+                minhash_dedup_incremental(
+                    _ds(inc_b), state, "b", agreement=0.7, timings=t
+                )
             )
-        )
         results[arm] = got
         assert "verify" in t and "sketch_new" in t and "store_scan" in t
         expected_phase = "sig_attach"  # both arms report it (refs vs joins)
         assert expected_phase in t
-    assert results["broadcast"] == results["join"] == [22, 24]
+    assert results["broadcast"] == results["join"] == results["key_sets"] == [22, 24]
 
 
 def test_store_meta_family_and_param_guard(ray_session, tmp_path):
@@ -189,6 +202,6 @@ def test_broadcast_verify_tolerates_duplicate_ids(ray_session, tmp_path):
     minhash_dedup_incremental(_ds([(0, base)]), state, "a").materialize()
     dup_rows = [(7, _perturb(base, rng)), (7, _perturb(base, rng)), (8, _text(rng))]
     got = _ids(minhash_dedup_incremental(
-        _ds(dup_rows), state, "b", agreement=0.7, strategy="broadcast"
+        _ds(dup_rows), state, "b", agreement=0.7
     ))
     assert got == [8]  # both id-7 rows are near-dups of stored doc 0

@@ -65,7 +65,7 @@ def test_cc_distributed_matches_driver_union_find(key_words, pairs):
 )
 def test_counted_survivors_match_value_counts(keys, max_count):
     ds = rd.from_pandas(pd.DataFrame({"k": keys})).materialize()
-    got = counted_key_survivors(ds, "k", 4, 10_000, min_count=2, max_count=max_count)
+    got = counted_key_survivors(ds, "k", 4, min_count=2, max_count=max_count)
     vc = pd.Series(keys).value_counts()
     want = sorted(vc.index[(vc.values >= 2) & (vc.values <= max_count)].tolist())
     assert sorted(got.to_pylist()) == want

@@ -23,6 +23,7 @@ import pytest
 import ray.data as rd
 
 from ertransfer_ray.pipelines.queries import ORACLE_SQL, build_queries
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.dedup import (
     _ShingleMinHash,
     embedding_neardup_pairs,
@@ -95,14 +96,15 @@ def test_minhash_key_shuffle_is_id_only():
     assert keyed.schema().types == [pa.int64(), pa.int64()]
 
 
-def test_minhash_broadcast_and_join_strategies_agree():
+def test_minhash_broadcast_and_join_strategies_agree(monkeypatch):
     a = (
         minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4)
         .to_pandas()
         .sort_values(["left_id", "right_id"], ignore_index=True)
     )
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)  # force the exchange arm
     b = (
-        minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4, strategy="join")
+        minhash_lsh_dedup_pairs(_docs(), jaccard_threshold=0.4)
         .to_pandas()
         .sort_values(["left_id", "right_id"], ignore_index=True)
     )
@@ -111,24 +113,25 @@ def test_minhash_broadcast_and_join_strategies_agree():
     )
 
 
-def test_ngram_broadcast_and_join_strategies_agree():
+def test_ngram_broadcast_and_join_strategies_agree(monkeypatch):
     from ertransfer_ray.stages.dedup import ngram_jaccard_pairs
 
-    a = (
-        ngram_jaccard_pairs(_docs(), jaccard_threshold=0.4)
-        .to_pandas()
-        .sort_values(["left_id", "right_id"], ignore_index=True)
-    )
-    b = (
-        ngram_jaccard_pairs(_docs(), jaccard_threshold=0.4, strategy="join")
-        .to_pandas()
-        .sort_values(["left_id", "right_id"], ignore_index=True)
-    )
-    b["left_id"] = b["left_id"].astype(a["left_id"].dtype)
-    b["right_id"] = b["right_id"].astype(a["right_id"].dtype)
-    pd.testing.assert_frame_equal(
-        a[["left_id", "right_id", "jaccard"]], b[["left_id", "right_id", "jaccard"]]
-    )
+    def run():
+        out = (
+            ngram_jaccard_pairs(_docs(), jaccard_threshold=0.4)
+            .to_pandas()
+            .sort_values(["left_id", "right_id"], ignore_index=True)
+        )
+        return out[["left_id", "right_id", "jaccard"]].astype(
+            {"left_id": "int64", "right_id": "int64"}
+        )
+
+    a = run()
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)  # exchange verification
+    pd.testing.assert_frame_equal(a, run())
+    # key sets past their gate too: no shingle prefilter, unfiltered text side
+    monkeypatch.setattr(joins, "KEY_SET_LIMIT", 0)
+    pd.testing.assert_frame_equal(a, run())
 
 
 def _emb(n=40, dim=8, seed=3):
@@ -146,16 +149,15 @@ def _emb(n=40, dim=8, seed=3):
     )
 
 
-def test_embedding_neardup_strategies_agree():
+def test_embedding_neardup_strategies_agree(monkeypatch):
     a = (
         embedding_neardup_pairs(_emb(), cosine_threshold=0.99, num_buckets=4)
         .to_pandas()
         .sort_values(["left_id", "right_id"], ignore_index=True)
     )
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)  # force the exchange arm
     b = (
-        embedding_neardup_pairs(
-            _emb(), cosine_threshold=0.99, num_buckets=4, strategy="join"
-        )
+        embedding_neardup_pairs(_emb(), cosine_threshold=0.99, num_buckets=4)
         .to_pandas()
         .sort_values(["left_id", "right_id"], ignore_index=True)
     )

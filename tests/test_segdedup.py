@@ -7,6 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.segdedup import (
     drop_duplicate_segments,
     segment_dup_stats,
@@ -87,19 +88,19 @@ def test_segment_dup_stats_matches_bruteforce_both_fingerprint_arms():
         )
 
 
-def test_drop_duplicate_segments_matches_bruteforce_all_strategies():
+def test_drop_duplicate_segments_matches_bruteforce_all_strategies(monkeypatch):
     texts = _corpus()
     _, want = _brute(texts, 5)
-    for strategy in ("broadcast", "join", "auto"):
+    for arm in ("broadcast", "exchange"):
+        if arm == "exchange":  # a payload limit of 0 forces the exchange arm
+            monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
         got = (
-            drop_duplicate_segments(
-                _ds(texts), k=5, strategy=strategy, num_buckets=4
-            )
+            drop_duplicate_segments(_ds(texts), k=5, num_buckets=4)
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
-        assert list(got["doc_id"]) == sorted(texts), strategy
-        pd.testing.assert_frame_equal(got, want, check_dtype=False), strategy
+        assert list(got["doc_id"]) == sorted(texts), arm
+        pd.testing.assert_frame_equal(got, want, check_dtype=False), arm
 
 
 def test_within_doc_repeat_keeps_first_occurrence():

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.spandedup import drop_duplicate_spans, window_dup_stats
 
 K = 3
@@ -70,14 +71,15 @@ def test_rewrite_matches_bruteforce(fingerprint):
     assert expected[3] == rows[3]  # < k words untouched
 
 
-def test_broadcast_and_join_arms_equal():
+def test_broadcast_and_join_arms_equal(monkeypatch):
     a = (
-        drop_duplicate_spans(_corpus(), k=K, strategy="broadcast")
+        drop_duplicate_spans(_corpus(), k=K)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)  # force the exchange arm
     b = (
-        drop_duplicate_spans(_corpus(), k=K, strategy="join")
+        drop_duplicate_spans(_corpus(), k=K)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
@@ -110,37 +112,6 @@ def test_stats_match_bruteforce(fingerprint):
         for r in got.itertuples()
     } == exp
     assert np.allclose(got["dup_frac"], got["dup_windows"] / got["n_windows"])
-
-
-def test_stats_strategy_arms_equal(monkeypatch):
-    """broadcast (count pass + dup-set recount) ≡ exchange (window-keyed)
-    ≡ auto stats; a broadcast whose dup set is over the gate (limit
-    forced to 0) falls back to the exchange arm with identical values."""
-    from ertransfer_ray.stages import spandedup
-
-    def run(**kw):
-        return (
-            window_dup_stats(_corpus(), k=K, **kw)
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-        )
-
-    bc = run(strategy="broadcast")
-    ex = run(strategy="exchange")
-    pd.testing.assert_frame_equal(
-        bc, ex[bc.columns], check_like=True, check_dtype=False
-    )
-    auto = run(strategy="auto")
-    pd.testing.assert_frame_equal(
-        auto[bc.columns], bc, check_like=True, check_dtype=False
-    )
-    monkeypatch.setattr(spandedup, "DUP_SET_BROADCAST_LIMIT", 0)
-    gated = run(strategy="broadcast")  # over the gate -> exchange fallback
-    pd.testing.assert_frame_equal(
-        gated[bc.columns], bc, check_like=True, check_dtype=False
-    )
-    with pytest.raises(ValueError):
-        window_dup_stats(_corpus(), k=K, fingerprint=False, strategy="broadcast")
 
 
 def test_empty_corpus_typed():

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from ertransfer_ray.stages import joins
 from ertransfer_ray.stages.tfidf import top_tfidf_terms
 
 
@@ -41,13 +42,14 @@ def test_top_tfidf_hand_computed():
     # doc 4 tie (all tf=1; apple has the higher idf) → apple
 
 
-def test_top_tfidf_join_arm_agrees():
+def test_top_tfidf_join_arm_agrees(monkeypatch):
     want = (
         top_tfidf_terms(_docs(), k=2)
         .to_pandas().sort_values(["doc_id", "term"], ignore_index=True)
     )
+    monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
     got = (
-        top_tfidf_terms(_docs(), k=2, max_broadcast_terms=1)
+        top_tfidf_terms(_docs(), k=2)
         .to_pandas().sort_values(["doc_id", "term"], ignore_index=True)
     )
     pd.testing.assert_frame_equal(

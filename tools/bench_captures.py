@@ -6,11 +6,12 @@ every doc gets one newest capture; 1 in 4 gets a SECOND, older capture
 under a URL-variant alias (`?utm_source=feed`, canonicalized away by
 urlnorm) — the CommonCrawl shape stages/crawl.py models. 3.2M docs →
 4M capture rows. With the loser-identity redesign the decision side is
-the ~0.8M LOSER keys (~40 MB), under LOSER_BROADCAST_LIMIT, so auto
-takes the anti-broadcast arm — that IS the production path this corpus
-shape would take; pass a duplicate-heavier corpus (or force
-strategy="join" in crawl.latest_capture_per_url) to exercise the
-exchange arm. Measured ledger in BASELINE.md covers both designs.
+the ~0.8M LOSER keys (~40 MB), under the key-set gate's limit
+(``joins.KEY_SET_LIMIT``), so the gate takes the anti-broadcast arm —
+that IS the production path this corpus shape would take; pass a
+duplicate-heavier corpus (or set ``joins.KEY_SET_LIMIT = 0`` in
+``run_arm``) to exercise the exchange arm. Measured ledger in
+BASELINE.md covers both designs.
 
 Usage:
   python tools/bench_captures.py              # orchestrate both arms

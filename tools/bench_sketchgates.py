@@ -4,10 +4,12 @@ Misra–Gries heavy-hitters path vs their exact-exchange counterparts.
 Experiment A — decontaminate at 1.6M docs (sf0.1 expanded x320; eval set =
 the unexpanded doc_id % 50 == 0 slice, so a few percent of the corpus is
 genuinely contaminated through surviving 5-gram spans):
-  - strategy="join"  : every corpus shingle rides the exchange;
-  - strategy="bloom" : broadcast Bloom clears clean docs map-side, only
-    the suspicious slice rides the exchange;
-  - strategy="broadcast" (reference): the in-gate exact arm.
+  - decontam_join  : the exact exchange arm, forced by a payload limit of
+    0 (``joins.PAYLOAD_LIMIT``); every corpus shingle rides the exchange;
+  - decontam_bloom : strategy="bloom"; broadcast Bloom clears clean docs
+    map-side, only the suspicious slice rides the exchange;
+  - decontam_broadcast (reference): the exact arm the gate picks for this
+    eval set, the broadcast one.
 All three must agree on the survivor count.
 
 Experiment B — top-10 terms over a 2M-doc corpus with a ~10^6-term Zipf
@@ -83,9 +85,12 @@ def run_arm(arm: str, num_cpus: int) -> None:
     out = {"arm": arm, "num_cpus": num_cpus}
 
     if arm.startswith("decontam_"):
+        from ertransfer_ray.stages import joins
         from ertransfer_ray.stages.decontam import decontaminate
 
-        strategy = arm.split("_", 1)[1]
+        strategy = "bloom" if arm == "decontam_bloom" else "exact"
+        if arm == "decontam_join":
+            joins.PAYLOAD_LIMIT = 0  # force the exchange arm
         sf = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 
         def corpus():
