@@ -379,10 +379,12 @@ def decontaminate(
     )
     import pyarrow.compute as pc
 
+    # a map over the exchange's materialized output: streaming it twice (the
+    # collect, then the anti-join past the gate) re-runs only this filter
     bad = stats.map_batches(
         lambda t: t.filter(pc.equal(t.column("contaminated"), True)).select([id_col]),
         batch_format="pyarrow",
-    ).materialize()
+    )
     bad_ids = collect_key_set(bad, id_col)
     if bad_ids is None:
         return bucketed_anti_semi_join(

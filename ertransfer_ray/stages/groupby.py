@@ -74,19 +74,15 @@ def _group_refs(block_refs: list, num_buckets: int) -> list[list]:
     return [block_refs[i : i + g] for i in range(0, len(block_refs), g)]
 
 
-def materialized(ds):
-    """``ds`` run once. An input that is already materialized is used as it
-    is: materializing it again copies its plan (~10 ms on one CPU)."""
-    from ray.data.dataset import MaterializedDataset
-
-    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-
-
 def _materialized_blocks(ds) -> tuple[list, object]:
     """Run ``ds`` once and return the refs of its non-empty blocks (arrow or
     pandas blocks) and its schema (``None`` when unknown). ``to_arrow_refs``
-    would run part of a lazy plan a second time to fetch the schema."""
-    mat = materialized(ds)
+    would run part of a lazy plan a second time to fetch the schema. An
+    input that is already materialized is used as it is: materializing it
+    again copies its plan (~10 ms on one CPU)."""
+    from ray.data.dataset import MaterializedDataset
+
+    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
     refs = [
         r
         for bundle in mat.iter_internal_ref_bundles()
