@@ -15,6 +15,7 @@ import pyarrow as pa
 from ..functions.textnorm import normalize_pages_batch
 from ..stages.blocking import attach_pair_payloads, emit_block_keys, generate_pairs
 from ..stages.clustering import connected_components, reciprocal_top1
+from ..stages.groupby import materialized
 from ..stages.scoring import score_pairs
 
 
@@ -93,7 +94,8 @@ def block(norm_ds, cfg: ERConfig, staged: bool = False):
     if staged:
         # one barrier here: the key-emit map fuses into the shuffle's map
         # side safely; the barrier isolates the shuffle from the attach pool
-        pairs = pairs.materialize()
+        # (an exchange's result holds its blocks already: no execution)
+        pairs = materialized(pairs)
     return attach_pair_payloads(
         pairs, norm_ds, payload_chars=cfg.payload_chars, num_buckets=cfg.num_buckets
     )

@@ -241,19 +241,27 @@ def attach_pair_payloads(
     id-only pair rows. Each payload crosses the wire once either way —
     instead of num_bands+1 times through the key shuffle.
 
-    Two arms (the classic small-side rule, decided by ``joins.choose_arm``
-    on the projected side's bytes):
-    - broadcast — the payload side fits a worker heap: ``ray.put`` the
-      (url → title, payload) table ONCE, map-side lookup per batch. Zero
-      shuffles.
-    - exchange — two bucketed cogroup joins (left side, then right side).
-      Needed when the payload side no longer fits one heap (the 10^12-doc
-      regime); costs two all-to-all barriers, which is why it is not taken
-      at broadcastable sizes (measured: +57s on a 100k-doc corpus purely
-      from the extra barriers).
+    The payload side is built with one task per normalized block (the
+    semi-join on the urls the pairs reference, then the projection); each
+    task returns its table and its bytes. Two arms (the classic small-side
+    rule, decided by ``joins.choose_arm`` on the sum of those bytes, before
+    any side table reaches the driver):
+    - broadcast — the payload side fits a worker heap: the driver
+      consolidates the side tables and ``ray.put`` s the (url → title,
+      payload) table ONCE; map-side lookup per batch. Zero shuffles.
+    - exchange — two bucketed cogroup joins (left side, then right side)
+      over the same side tables. Needed when the payload side no longer
+      fits one heap (the 10^12-doc regime); costs two all-to-all barriers,
+      which is why it is not taken at broadcastable sizes (measured: +57s
+      on a 100k-doc corpus purely from the extra barriers).
+    Over materialized pairs and a materialized ``norm_ds`` this starts no
+    streaming execution: the endpoint scan and the side build are plain
+    tasks over their blocks.
     """
     import ray
+    import ray.data as rd
 
+    from .groupby import _arrow_block, _materialized_blocks, materialized
     from .joins import (
         BroadcastSemiJoin,
         bucketed_join,
@@ -270,15 +278,16 @@ def attach_pair_payloads(
     # Deciding on the full corpus size instead flipped 1.6M-doc runs onto
     # the unfiltered join path.
     # pairs are consumed twice below (endpoint scan + attach); pin them
-    pairs_ds = pairs_ds.materialize()
+    pairs_ds = materialized(pairs_ds)
     needed_arr = pair_endpoints(pairs_ds, ["left_url", "right_url"])
 
-    projected = None
+    side_refs = None
     if needed_arr is not None:
-        needed_ref = ray.put(needed_arr)
 
-        def project_side(t: pa.Table) -> pa.Table:
-            return pa.table(
+        @ray.remote(num_returns=2)
+        def project_side(block, needed):
+            t = BroadcastSemiJoin(needed, "url")(_arrow_block(block))
+            side = pa.table(
                 {
                     "url": t.column("url"),
                     "title": t.column("norm_title"),
@@ -287,13 +296,14 @@ def attach_pair_payloads(
                     ),
                 }
             )
+            return side, side.nbytes
 
-        projected = (
-            norm_ds.map_batches(BroadcastSemiJoin(needed_ref, "url"), batch_format="pyarrow")
-            .map_batches(project_side, batch_format="pyarrow")
-            .materialize()
-        )
-    if projected is not None and choose_arm(projected) == "broadcast":
+        needed_ref = ray.put(needed_arr)
+        norm_refs, _, _ = _materialized_blocks(norm_ds)
+        outs = [project_side.remote(r, needed_ref) for r in norm_refs]
+        nbytes = sum(ray.get([n for _, n in outs]))
+        side_refs = [t for t, _ in outs]
+    if side_refs is not None and choose_arm(nbytes) == "broadcast":
         # consolidate the broadcast side into ONE object-store table:
         # shipping it as raw block refs (often 100s of tiny blocks) makes
         # every worker issue |blocks| serialized plasma fetches — measured as
@@ -301,12 +311,7 @@ def attach_pair_payloads(
         # put-once table costs ~0.2 s and is read zero-copy per node. The
         # side is the semi-join-filtered projection (O(pairs) rows), so the
         # driver-side concat is bounded by the same gate.
-        # drop zero-row blocks before concat: sources that emit empty
-        # blocks (e.g. read_binary_files with more read tasks than files)
-        # surface them here as SCHEMA-LESS empties that poison concat_tables
-        side_blocks = [
-            t for t in ray.get(projected.to_arrow_refs()) if t.num_rows
-        ]
+        side_blocks = [t for t in ray.get(side_refs) if t.num_rows]
         side_tbl = (
             pa.concat_tables(side_blocks).combine_chunks()
             if side_blocks
@@ -387,9 +392,10 @@ def attach_pair_payloads(
 
         return fn
 
-    src = projected if projected is not None else norm_ds
-    left_side = src.map_batches(side("left", projected is not None), batch_format="pyarrow")
-    right_side = src.map_batches(side("right", projected is not None), batch_format="pyarrow")
+    projected = side_refs is not None
+    src = rd.from_arrow_refs(side_refs) if projected else norm_ds
+    left_side = src.map_batches(side("left", projected), batch_format="pyarrow")
+    right_side = src.map_batches(side("right", projected), batch_format="pyarrow")
     with_left = bucketed_join(pairs_ds, left_side, "left_url", num_buckets=num_buckets)
     return bucketed_join(with_left, right_side, "right_url", num_buckets=num_buckets)
 

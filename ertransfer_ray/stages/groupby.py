@@ -32,10 +32,13 @@ never from ``to_arrow_refs`` (which in Ray 2.49 runs part of the plan a
 second time to fetch the schema, and converts pandas blocks in extra tasks).
 
 How many buckets. An explicit ``num_buckets`` is always used as given;
-otherwise :func:`default_num_buckets`, two per CPU. Every bucket costs a
-task pair and ``blocks`` object refs whatever it holds, so the count has no
-floor beyond the CPUs: on one CPU a few thousand key rows run as two
-buckets.
+otherwise :func:`default_num_buckets` sizes it from the input's bytes, which
+its block metadata holds once it is materialized: ONE bucket at or below
+:data:`SINGLE_BUCKET_BYTES`, two per CPU above it. A single bucket skips the
+split phase (hash mod 1 only reorders and copies the rows): one task applies
+``fn`` straight over the input blocks. A split and its apply cost ~28 ms of
+tasks and metadata on one CPU even on a few kB, more than one task spends
+sorting and deduplicating a MiB of string keys.
 
 For small-result aggregations there's an even cheaper path with NO shuffle:
 per-batch pandas partial aggregates → combine on the driver
@@ -45,6 +48,7 @@ histograms) — this is the "pre-aggregate inside map_batches" rule.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable
 
 import numpy as np
@@ -52,6 +56,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import stable_hash64
+
+_log = logging.getLogger(__name__)
 
 #: ceiling on driver-held object refs per exchange (split outputs =
 #: n_split_tasks x num_buckets). Each ref costs ~KB of driver metadata, so
@@ -74,36 +80,70 @@ def _group_refs(block_refs: list, num_buckets: int) -> list[list]:
     return [block_refs[i : i + g] for i in range(0, len(block_refs), g)]
 
 
-def _materialized_blocks(ds) -> tuple[list, object]:
-    """Run ``ds`` once and return the refs of its non-empty blocks (arrow or
-    pandas blocks) and its schema (``None`` when unknown). ``to_arrow_refs``
-    would run part of a lazy plan a second time to fetch the schema. An
-    input that is already materialized is used as it is: materializing it
-    again copies its plan (~10 ms on one CPU)."""
+def materialized(ds):
+    """``ds`` as a ``MaterializedDataset``, running a lazy plan once. A
+    materialized input is used as it is, without a copy. The output of
+    ``from_arrow_refs`` (every exchange's result) holds its blocks but has
+    not "run": listing it starts a streaming execution (16.1 ms median of
+    40 on one CPU) and ``materialize()`` copies it (4.3 ms), where marking
+    its plan executed, the no-op ``Dataset.materialize`` itself ends with,
+    runs nothing."""
     from ray.data.dataset import MaterializedDataset
 
-    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-    refs = [
-        r
-        for bundle in mat.iter_internal_ref_bundles()
-        for r, meta in bundle.blocks
-        if meta.num_rows != 0
-    ]
+    if not isinstance(ds, MaterializedDataset):
+        return ds.materialize()
+    ds._plan.execute()
+    return ds
+
+
+def _materialized_blocks(ds) -> tuple[list, object, int]:
+    """Run ``ds`` once (:func:`materialized`) and return the refs of its
+    non-empty blocks (arrow or pandas blocks), its schema (``None`` when
+    unknown) and their bytes, all read from block metadata.
+    ``to_arrow_refs`` would run part of a lazy plan a second time to fetch
+    the schema."""
+    mat = materialized(ds)
+    refs, nbytes = [], 0
+    for bundle in mat.iter_internal_ref_bundles():
+        for r, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                refs.append(r)
+                nbytes += meta.size_bytes or 0
     schema = mat.schema(fetch_if_missing=False)
     if schema is None:
         # a zero-row read (an empty parquet file) materializes into
         # schema-less blocks, but its plan still knows the schema
         schema = ds.schema(fetch_if_missing=False)
-    return refs, schema
+    return refs, schema, nbytes
 
 
-def default_num_buckets() -> int:
-    """Bucket count sized to the cluster: 2 buckets per CPU so every core
-    has grouped work."""
+#: Input bytes (block metadata) at or below which an exchange with no
+#: explicit ``num_buckets`` runs as ONE bucket, with no split phase. Measured
+#: on one CPU: one task of pandas ``sort_values`` + ``drop_duplicates`` over
+#: string keys takes 64 ms at 1 MiB, 163 ms at 2 MiB and 913 ms at 8 MiB,
+#: against ~28 ms of split, apply and metadata tasks for a whole exchange,
+#: so at 1 MiB the single task costs about what the fixed cost of buckets
+#: would. Whether many CPUs finish such an input sooner bucketed is
+#: unmeasured. A planner floor, not a broadcast limit.
+SINGLE_BUCKET_BYTES = 1 << 20
+
+
+def default_num_buckets(nbytes: int) -> int:
+    """Bucket count for an exchange over ``nbytes`` of input: 1 at or below
+    :data:`SINGLE_BUCKET_BYTES`, else 2 per CPU, so every core has grouped
+    work."""
     import ray
 
+    if nbytes <= SINGLE_BUCKET_BYTES:
+        return 1
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return max(1, 2 * cpus)
+
+
+def _arrow_block(b) -> pa.Table:
+    """A materialized block as Arrow: blocks stay PANDAS when the lineage
+    ends in a pandas stage."""
+    return pa.Table.from_pandas(b, preserve_index=False) if isinstance(b, pd.DataFrame) else b
 
 
 def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarray:
@@ -298,16 +338,17 @@ def exchange_group_apply(
 
     if fn_format not in ("pandas", "pyarrow"):
         raise ValueError(f"fn_format must be pandas|pyarrow, got {fn_format!r}")
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     sides = list(ds) if isinstance(ds, (list, tuple)) else [ds]
-    block_refs, schema = [], None
+    block_refs, schema, nbytes = [], None, 0
     for side in sides:
-        refs, side_schema = _materialized_blocks(side)
+        refs, side_schema, side_bytes = _materialized_blocks(side)
         block_refs += refs
+        nbytes += side_bytes
         schema = side_schema if schema is None else schema
+    if num_buckets is None:
+        num_buckets = default_num_buckets(nbytes)
     if not block_refs or schema is None or not schema.names:
         # zero-row or schema-less input (a map over an empty dataset emits
         # one empty block with no columns): nothing to group, but consumers
@@ -329,9 +370,7 @@ def exchange_group_apply(
             # returning the empty input; anything else is a genuine fn bug
             # that must surface, not be masked by the empty-corpus path. Log
             # the swallowed exception so schema bugs stay visible.
-            import logging
-
-            logging.getLogger(__name__).warning(
+            _log.warning(
                 "exchange_group_apply: fn failed on the empty-schema path "
                 "(%s: %s); returning the empty input dataset unchanged",
                 type(exc).__name__,
@@ -354,13 +393,7 @@ def exchange_group_apply(
 
     @ray.remote(num_returns=num_buckets)
     def split(*blocks: pa.Table):
-        # materialized blocks stay PANDAS when the lineage ends in a pandas
-        # stage — convert here, inside the split task
-        blocks = tuple(
-            pa.Table.from_pandas(b, preserve_index=False)
-            if isinstance(b, pd.DataFrame) else b
-            for b in blocks
-        )
+        blocks = tuple(_arrow_block(b) for b in blocks)
         # Ray Data can emit schema-less empty blocks from unions /
         # materializations; hashing their (absent) key columns would fail
         tbls = [b for b in blocks if b.num_rows > 0 and b.num_columns > 0]
@@ -387,12 +420,10 @@ def exchange_group_apply(
         ]
         return out if num_buckets > 1 else out[0]
 
-    # blocks are grouped so driver-held refs stay <= MAX_EXCHANGE_REFS
-    # (the 10^6-block regime would otherwise hold blocks x buckets refs)
-    parts = [split.remote(*grp) for grp in _group_refs(block_refs, num_buckets)]
-
     @ray.remote
     def apply_bucket(*tables):
+        # the one-bucket path hands over input blocks, which may be pandas
+        tables = [_arrow_block(t) for t in tables]
         tbls = [t for t in tables if t.num_rows > 0]
         if tbls:
             bucket = pa.concat_tables(tbls, promote_options="permissive")
@@ -405,6 +436,16 @@ def exchange_group_apply(
             out = _typed_table(out, bucket.schema)
         return out
 
+    skip_split = num_buckets == 1 and len(block_refs) <= MAX_EXCHANGE_REFS
+    _log.debug(
+        "exchange: %d input bytes, %d buckets, split %s",
+        nbytes, num_buckets, "skipped" if skip_split else "run",
+    )
+    if skip_split:
+        return rd.from_arrow_refs([apply_bucket.remote(*block_refs)])
+    # blocks are grouped so driver-held refs stay <= MAX_EXCHANGE_REFS
+    # (the 10^6-block regime would otherwise hold blocks x buckets refs)
+    parts = [split.remote(*grp) for grp in _group_refs(block_refs, num_buckets)]
     if num_buckets == 1:
         outs = [apply_bucket.remote(*parts)]
     else:
@@ -440,21 +481,19 @@ def counted_key_survivors(
 
     from .joins import choose_arm
 
-    nb = num_buckets or default_num_buckets()
-    refs, _ = _materialized_blocks(ds.select_columns([key]))
+    refs, _, nbytes = _materialized_blocks(ds.select_columns([key]))
+    nb = num_buckets or default_num_buckets(nbytes)
+
+    def key_arrays(blocks) -> list[np.ndarray]:
+        return [
+            b.column(key).to_numpy(zero_copy_only=False)
+            for b in map(_arrow_block, blocks)
+            if b.num_rows > 0 and b.num_columns > 0
+        ]
 
     @ray.remote(num_returns=nb)
     def split(*blocks: pa.Table):
-        blocks = tuple(
-            pa.Table.from_pandas(b, preserve_index=False)
-            if isinstance(b, pd.DataFrame) else b
-            for b in blocks
-        )
-        cols = [
-            b.column(key).to_numpy(zero_copy_only=False)
-            for b in blocks
-            if b.num_rows > 0 and b.num_columns > 0
-        ]
+        cols = key_arrays(blocks)
         if not cols:
             out = [np.empty(0, np.int64)] * nb
             return out if nb > 1 else out[0]
@@ -469,11 +508,10 @@ def counted_key_survivors(
         out = [sk[bounds[i] : bounds[i + 1]].copy() for i in range(nb)]
         return out if nb > 1 else out[0]
 
-    # same driver-ref ceiling as exchange_group_apply
-    parts = [split.remote(*grp) for grp in _group_refs(refs, nb)]
-
     @ray.remote(num_returns=2)
     def survivors(*arrs):
+        # split outputs are key arrays; one bucket hands over the key blocks
+        arrs = [a for a in arrs if isinstance(a, np.ndarray)] or key_arrays(arrs)
         arrs = [a for a in arrs if a.size]
         if not arrs:
             return pa.array([], pa.int64()), 0
@@ -484,13 +522,18 @@ def counted_key_survivors(
         out = pa.array(u[m])
         return out, out.nbytes
 
-    if nb == 1:
-        outs = [survivors.remote(*parts)]
+    if nb == 1 and len(refs) <= MAX_EXCHANGE_REFS:
+        outs = [survivors.remote(*refs)]  # no split, as in exchange_group_apply
     else:
-        outs = [
-            survivors.remote(*[parts[i][j] for i in range(len(parts))])
-            for j in range(nb)
-        ]
+        # same driver-ref ceiling as exchange_group_apply
+        parts = [split.remote(*grp) for grp in _group_refs(refs, nb)]
+        if nb == 1:
+            outs = [survivors.remote(*parts)]
+        else:
+            outs = [
+                survivors.remote(*[parts[i][j] for i in range(len(parts))])
+                for j in range(nb)
+            ]
     if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
         return None
     chunks = [a for a in ray.get([a for a, _ in outs]) if len(a)]

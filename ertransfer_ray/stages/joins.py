@@ -187,20 +187,31 @@ def collect_key_set(ds, col: str) -> pa.Array | None:
 
 def pair_endpoints(pairs, cols: list[str]) -> pa.Array | None:
     """The distinct ids a pair table references in its endpoint columns
-    ``cols`` (left and right), through :func:`collect_key_set`. Each batch
-    uniques its own endpoints first, so an id reaches the driver about once
-    per batch rather than once per pair."""
+    ``cols`` (left and right), sorted, or ``None`` when they are past
+    :data:`KEY_SET_LIMIT`. One task per block of the materialized pairs
+    uniques that block's endpoints and returns them with their byte count;
+    the gate decides on the sum before any endpoint array reaches the
+    driver. Callers hold the pairs materialized, so this starts no
+    streaming execution (where :func:`collect_key_set` streams a lazy
+    side)."""
+    from .groupby import _arrow_block, _materialized_blocks
 
-    def batch_unique(t: pa.Table) -> pa.Table:
-        chunks = [c for name in cols for c in t.column(name).chunks]
-        if not chunks:
-            return pa.table({"key": pa.array([], t.schema.field(cols[0]).type)})
-        return pa.table({"key": pc.unique(pa.chunked_array(chunks))})
+    refs, _, _ = _materialized_blocks(pairs)
 
-    return collect_key_set(
-        pairs.select_columns(cols).map_batches(batch_unique, batch_format="pyarrow"),
-        "key",
-    )
+    @ray.remote(num_returns=2)
+    def block_endpoints(block):
+        t = _arrow_block(block)
+        u = pc.unique(pa.chunked_array([c for n in cols for c in t.column(n).chunks]))
+        return u, u.nbytes
+
+    outs = [block_endpoints.remote(r) for r in refs]
+    if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
+        return None
+    chunks = [a for a in ray.get([a for a, _ in outs]) if len(a)]
+    if not chunks:
+        return pa.array([], pa.int64())
+    u = pc.unique(pa.chunked_array(chunks))
+    return u.take(pc.array_sort_indices(u))
 
 
 class BroadcastHashJoin:

@@ -1,8 +1,9 @@
 """Bucket-count invariance of the exchange primitives.
 
-Every primitive runs at 1, 3 and 16 buckets and at the default count
-(``num_buckets=None``, two per CPU), and must give the same sorted output
-each time."""
+Every primitive runs at 1, 3 and 16 buckets and at the planner's choice
+(``num_buckets=None``) on both sides of its byte floor: one bucket for
+these small inputs, and two per CPU with ``SINGLE_BUCKET_BYTES`` patched to
+0. It must give the same sorted output each time."""
 
 import contextlib
 
@@ -21,7 +22,9 @@ from ertransfer_ray.stages.dedup import exact_dedup_summary
 from ertransfer_ray.stages.joins import bucketed_anti_semi_join, bucketed_join
 from ertransfer_ray.stages.windows import grouped_quantiles, sessionize
 
-BUCKETS = [1, 3, 16, None]
+#: None is the planner's choice; "bucketed" is the planner's choice with
+#: the floor patched to 0, so it takes two buckets per CPU
+BUCKETS = [1, 3, 16, None, "bucketed"]
 
 
 def _frame(n: int, n_keys: int, seed: int) -> pd.DataFrame:
@@ -90,7 +93,7 @@ def _events(n: int, seed: int) -> pd.DataFrame:
 
 
 def _sessionize(nb):
-    # sessionize takes its bucket count from default_num_buckets
+    # sessionize takes its bucket count from the planner
     with _default_buckets(nb):
         return sessionize(_ds(_events(400, 10)), ts_col="ts", key_col="k").materialize()
 
@@ -115,10 +118,10 @@ def _reciprocal(nb):
 
 @contextlib.contextmanager
 def _default_buckets(nb):
-    """For ops that take no num_buckets: pin the default count instead."""
+    """For ops that take no num_buckets: pin the planner's count instead."""
     with pytest.MonkeyPatch.context() as mp:
         if nb is not None:
-            mp.setattr(gb, "default_num_buckets", lambda: nb)
+            mp.setattr(gb, "default_num_buckets", lambda nbytes: nb)
         yield
 
 
@@ -148,7 +151,13 @@ def _pairs(nb):
         "grouped_top_k", "counted_key_survivors", "generate_pairs", "distinct_rows",
         "grouped_aggregate", "sessionize", "grouped_quantiles", "reciprocal_top1"])
 def test_same_output_at_any_bucket_count(run):
-    outs = [_sorted(run(nb)) for nb in BUCKETS]
+    outs = []
+    for nb in BUCKETS:
+        with pytest.MonkeyPatch.context() as mp:
+            if nb == "bucketed":
+                mp.setattr(gb, "SINGLE_BUCKET_BYTES", 0)
+                nb = None
+            outs.append(_sorted(run(nb)))
     assert len(outs[0]) > 0
     for nb, out in zip(BUCKETS[1:], outs[1:]):
         pd.testing.assert_frame_equal(out, outs[0], obj=f"num_buckets={nb}")
@@ -251,5 +260,26 @@ def test_queries_on_zero_row_tables(tmp_path):
 
 
 def test_default_num_buckets_is_two_per_cpu(ray_session):
-    # the test session runs 4 logical CPUs; there is no floor of 16
-    assert gb.default_num_buckets() == 8
+    # one bucket at or below the byte floor; above it two per CPU (the test
+    # session runs 4 logical CPUs), with no floor of 16
+    assert gb.default_num_buckets(0) == 1
+    assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES) == 1
+    assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES + 1) == 8
+
+
+def test_planner_takes_one_bucket_below_the_floor(monkeypatch):
+    """The planner reads the input's bytes from its block metadata: a small
+    input runs as one bucket, the same input past a lowered floor as two
+    per CPU."""
+    seen, real = [], gb.default_num_buckets
+
+    def planner(nbytes):
+        seen.append(real(nbytes))
+        return seen[-1]
+
+    monkeypatch.setattr(gb, "default_num_buckets", planner)
+    ds = _ds(_frame(400, 37, 1))
+    gb.distinct_rows(ds, "k")
+    monkeypatch.setattr(gb, "SINGLE_BUCKET_BYTES", ds.size_bytes() - 1)
+    gb.distinct_rows(ds, "k")
+    assert seen == [1, 8]

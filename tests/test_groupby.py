@@ -125,6 +125,39 @@ def test_exchange_grouped_split_matches_ungrouped(monkeypatch):
     assert sorted(surv.to_pylist()) == sorted(surv2.to_pylist())
 
 
+def test_one_bucket_skips_the_split(monkeypatch, caplog):
+    """One bucket runs one apply task over the input blocks, with no split
+    phase, and says so at DEBUG; past the driver-ref ceiling it groups the
+    blocks through the split as before. Both match a bucketed run."""
+    import logging
+
+    import ertransfer_ray.stages.groupby as gb
+
+    df = pd.DataFrame({"k2": np.arange(600) % 13, "v": np.arange(600)})
+    ds = rd.from_pandas(df).repartition(12).materialize()
+
+    def agg(d: pd.DataFrame) -> pd.DataFrame:
+        return d.groupby("k2", as_index=False).agg(n=("v", "size"), s=("v", "sum"))
+
+    def run(nb):
+        out = gb.exchange_group_apply(ds, "k2", agg, num_buckets=nb)
+        return out.to_pandas().sort_values("k2", ignore_index=True)
+
+    want = run(5)
+    with caplog.at_level(logging.DEBUG, logger=gb.__name__):
+        pd.testing.assert_frame_equal(run(1), want)
+    assert any("1 buckets, split skipped" in r.getMessage() for r in caplog.records)
+    surv = sorted(gb.counted_key_survivors(ds, "k2", 1).to_pylist())
+    assert surv == sorted(gb.counted_key_survivors(ds, "k2", 5).to_pylist())
+
+    monkeypatch.setattr(gb, "MAX_EXCHANGE_REFS", 5)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=gb.__name__):
+        pd.testing.assert_frame_equal(run(1), want)
+    assert any("1 buckets, split run" in r.getMessage() for r in caplog.records)
+    assert sorted(gb.counted_key_survivors(ds, "k2", 1).to_pylist()) == surv
+
+
 @pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
 @pytest.mark.parametrize("op", ["exchange_group_apply", "counted_key_survivors"])
 def test_exchange_reads_its_input_once(tmp_path, op, fmt):
