@@ -477,7 +477,7 @@ def counted_key_survivors(
     """
     import ray
 
-    from .joins import choose_arm
+    from .joins import gated_key_chunks
 
     refs, _, nbytes = _materialized_blocks(ds.select_columns([key]))
     nb = num_buckets or default_num_buckets(nbytes)
@@ -507,10 +507,9 @@ def counted_key_survivors(
         return out if nb > 1 else out[0]
 
     @ray.remote(num_returns=2)
-    def survivors(*arrs):
+    def survivors(from_blocks: bool, *parts):
         # split outputs are key arrays; one bucket hands over the key blocks
-        arrs = [a for a in arrs if isinstance(a, np.ndarray)] or key_arrays(arrs)
-        arrs = [a for a in arrs if a.size]
+        arrs = key_arrays(parts) if from_blocks else [a for a in parts if a.size]
         if not arrs:
             return pa.array([], pa.int64()), 0
         u, c = np.unique(np.concatenate(arrs), return_counts=True)
@@ -521,23 +520,21 @@ def counted_key_survivors(
         return out, out.nbytes
 
     if nb == 1 and len(refs) <= MAX_EXCHANGE_REFS:
-        outs = [survivors.remote(*refs)]  # no split, as in exchange_group_apply
+        outs = [survivors.remote(True, *refs)]  # no split, as in exchange_group_apply
     else:
         # same driver-ref ceiling as exchange_group_apply
         parts = [split.remote(*grp) for grp in _group_refs(refs, nb)]
         if nb == 1:
-            outs = [survivors.remote(*parts)]
+            outs = [survivors.remote(False, *parts)]
         else:
             outs = [
-                survivors.remote(*[parts[i][j] for i in range(len(parts))])
+                survivors.remote(False, *[parts[i][j] for i in range(len(parts))])
                 for j in range(nb)
             ]
-    if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
+    chunks = gated_key_chunks(outs)
+    if chunks is None:
         return None
-    chunks = [a for a in ray.get([a for a, _ in outs]) if len(a)]
-    if not chunks:
-        return pa.array([], pa.int64())
-    return pa.concat_arrays(chunks)
+    return pa.concat_arrays(chunks) if chunks else pa.array([], pa.int64())
 
 
 def grouped_top_k(

@@ -179,10 +179,24 @@ def collect_key_set(ds, col: str) -> pa.Array | None:
         if choose_arm(nbytes, key_set=True) == "exchange":
             return None
         chunks.extend(b.column(col).chunks)
+    return _sorted_unique(chunks)
+
+
+def _sorted_unique(chunks: list[pa.Array]) -> pa.Array:
     if not chunks:
         return pa.array([], pa.int64())
     u = pc.unique(pa.chunked_array(chunks))
     return u.take(pc.array_sort_indices(u))
+
+
+def gated_key_chunks(outs: list) -> list[pa.Array] | None:
+    """Fetch the non-empty key arrays of ``outs``, one ``(array, nbytes)``
+    ref pair per task, or ``None`` when their summed bytes are past
+    :data:`KEY_SET_LIMIT`: the gate sees the counts before any array
+    reaches the driver."""
+    if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
+        return None
+    return [a for a in ray.get([a for a, _ in outs]) if len(a)]
 
 
 def pair_endpoints(pairs, cols: list[str]) -> pa.Array | None:
@@ -204,14 +218,8 @@ def pair_endpoints(pairs, cols: list[str]) -> pa.Array | None:
         u = pc.unique(pa.chunked_array([c for n in cols for c in t.column(n).chunks]))
         return u, u.nbytes
 
-    outs = [block_endpoints.remote(r) for r in refs]
-    if choose_arm(sum(ray.get([n for _, n in outs])), key_set=True) == "exchange":
-        return None
-    chunks = [a for a in ray.get([a for a, _ in outs]) if len(a)]
-    if not chunks:
-        return pa.array([], pa.int64())
-    u = pc.unique(pa.chunked_array(chunks))
-    return u.take(pc.array_sort_indices(u))
+    chunks = gated_key_chunks([block_endpoints.remote(r) for r in refs])
+    return None if chunks is None else _sorted_unique(chunks)
 
 
 class BroadcastHashJoin:

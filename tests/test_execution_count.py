@@ -76,8 +76,8 @@ def test_listing_an_exchange_result_starts_none(executions):
 
 @pytest.fixture
 def driver_gets(monkeypatch):
-    """The values that ``ray.get`` hands to ``pair_endpoints`` and
-    ``attach_pair_payloads`` themselves."""
+    """The values that ``ray.get`` hands to the gated key fetch
+    (``pair_endpoints``) and to ``attach_pair_payloads`` itself."""
     import sys
 
     got = []
@@ -85,7 +85,7 @@ def driver_gets(monkeypatch):
 
     def recorded(refs, *args, **kwargs):
         out = real(refs, *args, **kwargs)
-        if sys._getframe(1).f_code.co_name in ("pair_endpoints", "attach_pair_payloads"):
+        if sys._getframe(1).f_code.co_name in ("gated_key_chunks", "attach_pair_payloads"):
             got.extend(out if isinstance(out, list) else [out])
         return out
 
