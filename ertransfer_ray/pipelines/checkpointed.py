@@ -95,7 +95,7 @@ def run_er_checkpointed(
 
     def make_pairs_shard(shard: int, n: int):
         norm = _read_stage(norm_dir).materialize()
-        pairs = block(norm, cfg, staged=True)
+        pairs = block(norm, cfg)
         return pairs.map_batches(shard_filter(shard, n, "left_url"), batch_format="pyarrow")
 
     t0 = time.perf_counter()

@@ -15,7 +15,6 @@ import pyarrow as pa
 from ..functions.textnorm import normalize_pages_batch
 from ..stages.blocking import attach_pair_payloads, emit_block_keys, generate_pairs
 from ..stages.clustering import connected_components, reciprocal_top1
-from ..stages.groupby import materialized
 from ..stages.scoring import score_pairs
 
 
@@ -60,19 +59,17 @@ def normalize_pages(pages_ds):
     return pages_ds.map_batches(normalize_pages_batch, batch_format="pyarrow")
 
 
-def block(norm_ds, cfg: ERConfig, staged: bool = False):
+def block(norm_ds, cfg: ERConfig):
     """Stage 1: blocking keys + bounded pair generation + payload attach.
 
     Key rows are id-only (payloads would be amplified num_bands+1 times
     through the shuffle); payloads join back onto the deduped pairs once.
     ``norm_ds`` is consumed twice (keys + payload side), so callers should
-    pass a materialized/checkpointed normalized table.
-
-    ``staged=True`` materializes between the sub-stages: fusing the key
-    emitter, two bucket shuffles and the attach pool into one streaming DAG
-    measured 110 s on an 8-CPU session where the staged form takes 34 s —
-    the streaming executor thrashes when concurrent operators outnumber
-    CPUs (see run_er).
+    pass a materialized/checkpointed normalized table. The pair exchanges
+    are pipeline breakers, so the key emitter never fuses with the attach:
+    one streaming DAG of the key emitter, two bucket shuffles and the
+    attach pool measured 110 s on an 8-CPU session where the staged form
+    took 34 s (see run_er).
     """
     keyed = emit_block_keys(
         norm_ds,
@@ -91,11 +88,6 @@ def block(norm_ds, cfg: ERConfig, staged: bool = False):
         num_buckets=cfg.num_buckets,
         dedup=cfg.pair_dedup,
     )
-    if staged:
-        # one barrier here: the key-emit map fuses into the shuffle's map
-        # side safely; the barrier isolates the shuffle from the attach pool
-        # (an exchange's result holds its blocks already: no execution)
-        pairs = materialized(pairs)
     return attach_pair_payloads(
         pairs, norm_ds, payload_chars=cfg.payload_chars, num_buckets=cfg.num_buckets
     )
@@ -138,7 +130,6 @@ def run_er(
     pages_ds,
     cfg: ERConfig | None = None,
     normalized: bool = False,
-    staged: bool = True,
     dedup_captures: bool = False,
 ) -> dict:
     """Full pipeline. Returns dict of Datasets:
@@ -153,9 +144,10 @@ def run_er(
     trivial self-duplicate clusters before blocking pays for them.
     Requires the raw pages shape (url, warc_ts, …).
 
-    ``staged=True`` (default) materializes each stage boundary before the
-    next starts. This mirrors the checkpoint/resume layout (stage outputs =
-    Parquet + manifests at scale) AND is dramatically faster than one fused
+    Each stage boundary up to the pairs is materialized before the next
+    starts: the normalized table here, the pairs by their exchanges. This
+    mirrors the checkpoint/resume layout (stage outputs = Parquet +
+    manifests at scale) AND is dramatically faster than one fused
     streaming DAG when CPUs are scarce: Ray's streaming executor runs every
     operator concurrently, and on an 8-CPU session the contention between
     actor pools, all-to-all stages and map stages measured 212 s for a chain
@@ -196,7 +188,7 @@ def run_er(
             "predictions": _empty({"left_url": s, "right_url": s, "prob": f}),
             "clusters": _empty({"url": s, "cluster_id": s}),
         }
-    pairs = block(norm, cfg, staged=staged)
+    pairs = block(norm, cfg)
     # attach+score are plain map chains over the materialized pairs — they
     # fuse into clustering's consumption without executor contention
     predictions = score(pairs, cfg)

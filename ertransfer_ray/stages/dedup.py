@@ -790,7 +790,7 @@ def minhash_lsh_dedup_pairs(
     # ^ barrier before the band shuffle: fusing the minhash actor pool into
     # the groupby lets the streaming executor run both concurrently and
     # thrash (measured on 400k docs / 8 CPUs: fused 58 s vs staged 22 s —
-    # the same pathology run_er(staged=True) documents)
+    # the same pathology run_er documents)
 
     if arm == "exchange":
         # same raw hash exchange as the broadcast arm below — Ray Data's

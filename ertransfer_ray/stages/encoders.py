@@ -42,7 +42,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.arrays import list_column_to_matrix, matrix_to_list_column
-from .groupby import exchange_group_apply, grouped_top_k
+from .groupby import cluster_cpus, exchange_group_apply, grouped_top_k
 
 
 # --------------------------------------------------------------------------
@@ -428,11 +428,13 @@ def ivf_knn_join(
     # reaches 65536 centroids, and using that as the width means
     # @ray.remote(num_returns=65536) per split task and blocks x 65536
     # driver-held refs — impractical at the both-sides-large scale this
-    # targets. The exchange's own planner sizes it instead (one bucket for
-    # a small input, cluster-sized buckets above); many centroid buckets
-    # simply hash into each exchange bucket and score_bucket regroups them
-    # by the carried bucket column.
-    per_bucket = exchange_group_apply(keyed, "bucket", score_bucket)
+    # targets. A bounded exchange (cluster-sized buckets) moves the same
+    # rows; many centroid buckets simply hash into each exchange bucket and
+    # score_bucket regroups them by the carried bucket column.
+    per_bucket = exchange_group_apply(
+        keyed, "bucket", score_bucket,
+        num_buckets=min(num_buckets, 2 * cluster_cpus()),
+    )
     # merge across probes: per-A top-k (dedup same pair seen in 2 buckets)
     def dedup(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["tableA_id", "tableB_id"], keep="first")

@@ -32,13 +32,13 @@ never from ``to_arrow_refs`` (which in Ray 2.49 runs part of the plan a
 second time to fetch the schema, and converts pandas blocks in extra tasks).
 
 How many buckets. An explicit ``num_buckets`` is always used as given;
-otherwise :func:`default_num_buckets` sizes it from the input's bytes, which
-its block metadata holds once it is materialized: ONE bucket at or below
-:data:`SINGLE_BUCKET_BYTES`, two per CPU above it. A single bucket skips the
-split phase (hash mod 1 only reorders and copies the rows): one task applies
-``fn`` straight over the input blocks. A split and its apply cost ~28 ms of
-tasks and metadata on one CPU even on a few kB, more than one task spends
-sorting and deduplicating a MiB of string keys.
+otherwise :func:`default_num_buckets` sizes it: two per CPU, except that on
+a one-CPU session an input of at most :data:`SINGLE_BUCKET_BYTES` (its
+block metadata holds the bytes once it is materialized) takes ONE bucket.
+A single bucket skips the split phase (hash mod 1 only reorders and copies
+the rows): one task applies ``fn`` straight over the input blocks. On one
+CPU a split and its apply cost ~28 ms of tasks and metadata even on a few
+kB, and buckets buy no parallelism there.
 
 For small-result aggregations there's an even cheaper path with NO shuffle:
 per-batch pandas partial aggregates → combine on the driver
@@ -115,26 +115,36 @@ def _materialized_blocks(ds) -> tuple[list, object, int]:
     return refs, schema, nbytes
 
 
+def cluster_cpus() -> int:
+    """The session's CPUs (8 when Ray is not initialized)."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 #: Input bytes (block metadata) at or below which an exchange with no
-#: explicit ``num_buckets`` runs as ONE bucket, with no split phase. Measured
-#: on one CPU: one task of pandas ``sort_values`` + ``drop_duplicates`` over
-#: string keys takes 64 ms at 1 MiB, 163 ms at 2 MiB and 913 ms at 8 MiB,
-#: against ~28 ms of split, apply and metadata tasks for a whole exchange,
-#: so at 1 MiB the single task costs about what the fixed cost of buckets
-#: would. Whether many CPUs finish such an input sooner bucketed is
-#: unmeasured. A planner floor, not a broadcast limit.
+#: explicit ``num_buckets`` runs as ONE bucket, with no split phase, on a
+#: one-CPU session. Measured there: one task of pandas ``sort_values`` +
+#: ``drop_duplicates`` over string keys takes 64 ms at 1 MiB, 163 ms at
+#: 2 MiB and 913 ms at 8 MiB, against ~28 ms of split, apply and metadata
+#: tasks for a whole exchange; the sort grows faster than the input, so
+#: past about 1 MiB two buckets finish sooner even on one CPU. Sessions with
+#: more CPUs keep two buckets per CPU at any size: one bucket would give up
+#: the buckets' parallelism, and its one output block would make every
+#: stage downstream (pair endpoints, the payload attach, scoring, the
+#: connected-components rounds) run as one task. Whether that costs more
+#: than the saved split is unmeasured. A planner floor, not a broadcast
+#: limit.
 SINGLE_BUCKET_BYTES = 1 << 20
 
 
 def default_num_buckets(nbytes: int) -> int:
-    """Bucket count for an exchange over ``nbytes`` of input: 1 at or below
-    :data:`SINGLE_BUCKET_BYTES`, else 2 per CPU, so every core has grouped
-    work."""
-    import ray
-
-    if nbytes <= SINGLE_BUCKET_BYTES:
+    """Bucket count for an exchange over ``nbytes`` of input: 2 per CPU, so
+    every core has grouped work, or 1 on a one-CPU session at or below
+    :data:`SINGLE_BUCKET_BYTES`."""
+    cpus = cluster_cpus()
+    if cpus <= 1 and nbytes <= SINGLE_BUCKET_BYTES:
         return 1
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return max(1, 2 * cpus)
 
 
@@ -396,8 +406,7 @@ def exchange_group_apply(
         # materializations; hashing their (absent) key columns would fail
         tbls = [b for b in blocks if b.num_rows > 0 and b.num_columns > 0]
         if not tbls:
-            out = [blocks[0].slice(0, 0)] * num_buckets
-            return out if num_buckets > 1 else out[0]
+            return [blocks[0].slice(0, 0)] * num_buckets
         # permissive promote: iterative frontiers carry null-typed columns
         # in empty-lineage blocks that must unify with the typed ones
         block = (
@@ -412,11 +421,10 @@ def exchange_group_apply(
         sorted_tbl = block.take(pa.array(order))
         sorted_b = b[order]
         bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
-        out = [
+        return [
             _compact(sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i]))
             for i in range(num_buckets)
         ]
-        return out if num_buckets > 1 else out[0]
 
     @ray.remote
     def apply_bucket(*tables):
@@ -434,23 +442,19 @@ def exchange_group_apply(
             out = _typed_table(out, bucket.schema)
         return out
 
-    skip_split = num_buckets == 1 and len(block_refs) <= MAX_EXCHANGE_REFS
     _log.debug(
         "exchange: %d input bytes, %d buckets, split %s",
-        nbytes, num_buckets, "skipped" if skip_split else "run",
+        nbytes, num_buckets, "skipped" if num_buckets == 1 else "run",
     )
-    if skip_split:
+    if num_buckets == 1:
         return rd.from_arrow_refs([apply_bucket.remote(*block_refs)])
     # blocks are grouped so driver-held refs stay <= MAX_EXCHANGE_REFS
     # (the 10^6-block regime would otherwise hold blocks x buckets refs)
     parts = [split.remote(*grp) for grp in _group_refs(block_refs, num_buckets)]
-    if num_buckets == 1:
-        outs = [apply_bucket.remote(*parts)]
-    else:
-        outs = [
-            apply_bucket.remote(*[parts[i][j] for i in range(len(parts))])
-            for j in range(num_buckets)
-        ]
+    outs = [
+        apply_bucket.remote(*[parts[i][j] for i in range(len(parts))])
+        for j in range(num_buckets)
+    ]
     return rd.from_arrow_refs(outs)
 
 
@@ -493,8 +497,7 @@ def counted_key_survivors(
     def split(*blocks: pa.Table):
         cols = key_arrays(blocks)
         if not cols:
-            out = [np.empty(0, np.int64)] * nb
-            return out if nb > 1 else out[0]
+            return [np.empty(0, np.int64)] * nb
         col = np.concatenate(cols) if len(cols) > 1 else cols[0]
         b = (pd.util.hash_array(col) % np.uint64(nb)).astype(np.int64)
         order = np.argsort(b, kind="stable")
@@ -503,13 +506,12 @@ def counted_key_survivors(
         bounds = np.searchsorted(sb, np.arange(nb + 1))
         # .copy() compacts each slice so it ships at slice size, not parent
         # size (same lesson as exchange_group_apply's _compact)
-        out = [sk[bounds[i] : bounds[i + 1]].copy() for i in range(nb)]
-        return out if nb > 1 else out[0]
+        return [sk[bounds[i] : bounds[i + 1]].copy() for i in range(nb)]
 
     @ray.remote(num_returns=2)
-    def survivors(from_blocks: bool, *parts):
-        # split outputs are key arrays; one bucket hands over the key blocks
-        arrs = key_arrays(parts) if from_blocks else [a for a in parts if a.size]
+    def survivors(*parts):
+        # one bucket hands over the key blocks, more the split's key arrays
+        arrs = key_arrays(parts) if nb == 1 else [a for a in parts if a.size]
         if not arrs:
             return pa.array([], pa.int64()), 0
         u, c = np.unique(np.concatenate(arrs), return_counts=True)
@@ -519,18 +521,15 @@ def counted_key_survivors(
         out = pa.array(u[m])
         return out, out.nbytes
 
-    if nb == 1 and len(refs) <= MAX_EXCHANGE_REFS:
-        outs = [survivors.remote(True, *refs)]  # no split, as in exchange_group_apply
+    if nb == 1:
+        outs = [survivors.remote(*refs)]  # no split, as in exchange_group_apply
     else:
         # same driver-ref ceiling as exchange_group_apply
         parts = [split.remote(*grp) for grp in _group_refs(refs, nb)]
-        if nb == 1:
-            outs = [survivors.remote(False, *parts)]
-        else:
-            outs = [
-                survivors.remote(False, *[parts[i][j] for i in range(len(parts))])
-                for j in range(nb)
-            ]
+        outs = [
+            survivors.remote(*[parts[i][j] for i in range(len(parts))])
+            for j in range(nb)
+        ]
     chunks = gated_key_chunks(outs)
     if chunks is None:
         return None

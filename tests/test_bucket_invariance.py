@@ -1,9 +1,9 @@
 """Bucket-count invariance of the exchange primitives.
 
 Every primitive runs at 1, 3 and 16 buckets and at the planner's choice
-(``num_buckets=None``) on both sides of its byte floor: one bucket for
-these small inputs, and two per CPU with ``SINGLE_BUCKET_BYTES`` patched to
-0. It must give the same sorted output each time."""
+(``num_buckets=None``) on both sides of its one-bucket rule: two per CPU in
+the test session, and one bucket for these small inputs with the session's
+CPUs patched to one. It must give the same sorted output each time."""
 
 import contextlib
 
@@ -22,9 +22,9 @@ from ertransfer_ray.stages.dedup import exact_dedup_summary
 from ertransfer_ray.stages.joins import bucketed_anti_semi_join, bucketed_join
 from ertransfer_ray.stages.windows import grouped_quantiles, sessionize
 
-#: None is the planner's choice; "bucketed" is the planner's choice with
-#: the floor patched to 0, so it takes two buckets per CPU
-BUCKETS = [1, 3, 16, None, "bucketed"]
+#: None is the planner's choice (two buckets per CPU); "one_cpu" is the
+#: planner's choice on a one-CPU session, one bucket for these inputs
+BUCKETS = [1, 3, 16, None, "one_cpu"]
 
 
 def _frame(n: int, n_keys: int, seed: int) -> pd.DataFrame:
@@ -154,8 +154,8 @@ def test_same_output_at_any_bucket_count(run):
     outs = []
     for nb in BUCKETS:
         with pytest.MonkeyPatch.context() as mp:
-            if nb == "bucketed":
-                mp.setattr(gb, "SINGLE_BUCKET_BYTES", 0)
+            if nb == "one_cpu":
+                mp.setattr(gb, "cluster_cpus", lambda: 1)
                 nb = None
             outs.append(_sorted(run(nb)))
     assert len(outs[0]) > 0
@@ -259,18 +259,21 @@ def test_queries_on_zero_row_tables(tmp_path):
         assert sorted(out.columns) == sorted(cols), query.__name__
 
 
-def test_default_num_buckets_is_two_per_cpu(ray_session):
-    # one bucket at or below the byte floor; above it two per CPU (the test
-    # session runs 4 logical CPUs), with no floor of 16
+def test_default_num_buckets_is_two_per_cpu(ray_session, monkeypatch):
+    # two per CPU at any size on the test session's 4 logical CPUs, with no
+    # floor of 16; on one CPU, one bucket at or below the byte floor
+    assert gb.default_num_buckets(0) == 8
+    assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES + 1) == 8
+    monkeypatch.setattr(gb, "cluster_cpus", lambda: 1)
     assert gb.default_num_buckets(0) == 1
     assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES) == 1
-    assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES + 1) == 8
+    assert gb.default_num_buckets(gb.SINGLE_BUCKET_BYTES + 1) == 2
 
 
 def test_planner_takes_one_bucket_below_the_floor(monkeypatch):
     """The planner reads the input's bytes from its block metadata: a small
-    input runs as one bucket, the same input past a lowered floor as two
-    per CPU."""
+    input takes two buckets per CPU on the 4-CPU test session; on one CPU it
+    runs as one bucket, and past a lowered floor as two."""
     seen, real = [], gb.default_num_buckets
 
     def planner(nbytes):
@@ -280,6 +283,8 @@ def test_planner_takes_one_bucket_below_the_floor(monkeypatch):
     monkeypatch.setattr(gb, "default_num_buckets", planner)
     ds = _ds(_frame(400, 37, 1))
     gb.distinct_rows(ds, "k")
+    monkeypatch.setattr(gb, "cluster_cpus", lambda: 1)
+    gb.distinct_rows(ds, "k")
     monkeypatch.setattr(gb, "SINGLE_BUCKET_BYTES", ds.size_bytes() - 1)
     gb.distinct_rows(ds, "k")
-    assert seen == [1, 8]
+    assert seen == [8, 1, 2]

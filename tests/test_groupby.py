@@ -125,10 +125,9 @@ def test_exchange_grouped_split_matches_ungrouped(monkeypatch):
     assert sorted(surv.to_pylist()) == sorted(surv2.to_pylist())
 
 
-def test_one_bucket_skips_the_split(monkeypatch, caplog):
+def test_one_bucket_skips_the_split(caplog):
     """One bucket runs one apply task over the input blocks, with no split
-    phase, and says so at DEBUG; past the driver-ref ceiling it groups the
-    blocks through the split as before. Both match a bucketed run."""
+    phase, says so at DEBUG, and matches a bucketed run."""
     import logging
 
     import ertransfer_ray.stages.groupby as gb
@@ -149,13 +148,6 @@ def test_one_bucket_skips_the_split(monkeypatch, caplog):
     assert any("1 buckets, split skipped" in r.getMessage() for r in caplog.records)
     surv = sorted(gb.counted_key_survivors(ds, "k2", 1).to_pylist())
     assert surv == sorted(gb.counted_key_survivors(ds, "k2", 5).to_pylist())
-
-    monkeypatch.setattr(gb, "MAX_EXCHANGE_REFS", 5)
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger=gb.__name__):
-        pd.testing.assert_frame_equal(run(1), want)
-    assert any("1 buckets, split run" in r.getMessage() for r in caplog.records)
-    assert sorted(gb.counted_key_survivors(ds, "k2", 1).to_pylist()) == surv
 
 
 @pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
