@@ -265,36 +265,14 @@ def minhash_signatures_hashed(
     return sig
 
 
-def lsh_band_keys(
-    signatures: np.ndarray, num_bands: int, prefix: str = "mh"
-) -> list[np.ndarray]:
-    """Split ``(n, num_perm)`` signatures into bands and hash each band to a key.
-
-    Returns a list of ``num_bands`` string arrays of shape ``(n,)``; a pair of
-    docs sharing ANY band key becomes a blocking candidate. Key strings embed
-    the band index so different bands never collide.
-    """
-    n, num_perm = signatures.shape
-    assert num_perm % num_bands == 0, "num_perm must be divisible by num_bands"
-    rows = num_perm // num_bands
-    out = []
-    for bi in range(num_bands):
-        band = signatures[:, bi * rows : (bi + 1) * rows]
-        # hash the band by hashing its byte view row-wise (stable)
-        byte_view = np.ascontiguousarray(band).view(np.uint8).reshape(n, -1)
-        band_bytes = [byte_view[i].tobytes() for i in range(n)]
-        h = stable_hash64(band_bytes)
-        out.append(np.char.add(f"{prefix}{bi}:", h.astype("U20")))
-    return out
-
-
 def lsh_band_keys_u64(
     signatures: np.ndarray, num_bands: int, salt: int = 0
 ) -> list[np.ndarray]:
-    """Numeric variant of :func:`lsh_band_keys`: each band key is an int64
-    (band hash mixed with a per-band constant). Preferred in shuffles —
-    8-byte fixed keys sort and hash far cheaper than ~24-byte strings when
-    the key table is num_bands × corpus rows.
+    """Split ``(n, num_perm)`` signatures into ``num_bands`` bands and hash
+    each band to an int64 key (band hash mixed with a per-band constant);
+    a pair of docs sharing ANY band key is a candidate. 8-byte fixed keys
+    sort and hash far cheaper in shuffles than ~24-byte strings when the
+    key table is num_bands × corpus rows.
     """
     n, num_perm = signatures.shape
     assert num_perm % num_bands == 0, "num_perm must be divisible by num_bands"

@@ -414,18 +414,6 @@ def cosine_matrix(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (x / xn) @ (q / qn).T
 
 
-def pairwise_cosine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-aligned cosine between ``x (n,d)`` and ``y (n,d)`` → ``(n,)``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    num = (x * y).sum(axis=1)
-    den = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-    out = np.zeros(len(x))
-    nz = den > 0
-    out[nz] = num[nz] / den[nz]
-    return out
-
-
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """M13: logits → probabilities (reference methods/ditto/transform.py:101)."""
     z = logits - logits.max(axis=axis, keepdims=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -127,10 +126,6 @@ def strip_namespace(name: str) -> str:
     return name.split("/")[-1]
 
 
-def normalize_namespace_columns(table: pa.Table) -> pa.Table:
-    return table.rename_columns([strip_namespace(c) for c in table.column_names])
-
-
 def add_prefix(table: pa.Table, prefix: str, skip: tuple[str, ...] = ()) -> pa.Table:
     """M9: column-prefixing for wide pair assembly. Reference splitter.py:96-97."""
     return table.rename_columns(
@@ -170,15 +165,6 @@ def extract_title_from_html(html: bytes) -> str:
 def normalize_title(title: str) -> str:
     """Lowercase, collapse whitespace/punct — the sorted-neighborhood key base."""
     return _WS_RE.sub(" ", re.sub(r"[^\w\s]", " ", title.lower())).strip()
-
-
-def canonical_url(url: str) -> str:
-    """Scalar convenience wrapper over functions/urlnorm.normalize_urls
-    (the vectorized Arrow-RE2 canonicalizer the pipeline uses); kept for
-    callers holding single URLs."""
-    from .urlnorm import normalize_urls
-
-    return normalize_urls(pa.array([url.strip()]))[0].as_py()
 
 
 def normalize_pages_batch(batch: pa.Table) -> pa.Table:

@@ -68,8 +68,8 @@ def block(norm_ds, cfg: ERConfig):
     pass a materialized/checkpointed normalized table. The pair exchanges
     are pipeline breakers, so the key emitter never fuses with the attach:
     one streaming DAG of the key emitter, two bucket shuffles and the
-    attach pool measured 110 s on an 8-CPU session where the staged form
-    took 34 s (see run_er).
+    attach pool measured 110 s on an 8-CPU session, against 34 s when each
+    step ran to completion before the next (see run_er).
     """
     keyed = emit_block_keys(
         norm_ds,
@@ -94,7 +94,9 @@ def block(norm_ds, cfg: ERConfig):
 
 
 def score(pairs_ds, cfg: ERConfig):
-    """Stage 2: actor-pool pairwise scoring → (left_url, right_url, prob)."""
+    """Stage 2: pairwise scoring → (left_url, right_url, prob). Stateless
+    tasks by default (``cfg.scorer_concurrency="tasks"``); an int or tuple
+    there scores on an actor pool instead."""
     return score_pairs(
         pairs_ds,
         weights=cfg.weights,

@@ -550,14 +550,3 @@ def connected_components(
         return pa.table({"url": t.column("url"), "cluster_id": m.column("url_min").take(pos)})
 
     return exchange_group_apply(members, V[0], name_cluster, fn_format="pyarrow")
-
-
-def clusters_to_pair_set(assignments_df: pd.DataFrame) -> set:
-    """(url, cluster_id) rows → set of same-cluster url pairs (left<right)."""
-    pairs = set()
-    for _, grp in assignments_df.groupby("cluster_id"):
-        urls = sorted(grp["url"])
-        for i in range(len(urls)):
-            for j in range(i + 1, len(urls)):
-                pairs.add((urls[i], urls[j]))
-    return pairs

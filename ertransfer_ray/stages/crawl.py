@@ -138,25 +138,3 @@ def latest_capture_per_url(
         )
 
     return out.drop_columns(["capture_key"])
-
-
-def drop_blocklisted_hosts(pages_ds, blocklist, url_col: str = "url"):
-    """C4-style domain filter: drop pages whose canonical host is in
-    ``blocklist`` (an iterable of lowercase hostnames). The list is
-    broadcast once (``ray.put``) and membership is the Arrow ``is_in``
-    kernel per batch — stateless map, no shuffle; blocklists are
-    curated-list sized, never corpus sized."""
-    from ..functions.urlnorm import host_of
-
-    ref = put_broadcast(pa.array(sorted(set(blocklist)), pa.string()))
-
-    def fn(t: pa.Table) -> pa.Table:
-        import ray
-
-        hosts = host_of(normalize_urls(t.column(url_col)))
-        bl = ray.get(ref)
-        return t.filter(
-            pc.invert(pc.fill_null(pc.is_in(hosts, value_set=bl), False))
-        )
-
-    return pages_ds.map_batches(fn, batch_format="pyarrow")

@@ -140,9 +140,7 @@ def host_filter(
     Filters, applied in pipeline order:
 
     1. ``blocklist`` — caller-supplied host names, dropped first (always
-       broadcast: a curated blocklist is small by construction;
-       ``crawl.drop_blocklisted_hosts`` is the stats-free special case of
-       this arm when no count thresholds are wanted);
+       broadcast: a curated blocklist is small by construction);
     2. ``min_docs`` — drop hosts with fewer documents (spam singletons);
     3. ``max_share`` — drop hosts holding more than this FRACTION of the
        post-blocklist corpus (single-domain cap; scale-invariant, unlike

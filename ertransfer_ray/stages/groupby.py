@@ -289,12 +289,19 @@ def empty_frame(schema) -> pd.DataFrame:
     )
 
 
+def _plain_table(df: pd.DataFrame) -> pa.Table:
+    """``df`` as Arrow without the pandas metadata ``from_pandas`` attaches:
+    pyarrow cannot hash a schema that carries it, and Ray's schema
+    unification hashes every output block's schema."""
+    return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+
+
 def _typed_table(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
     """``fn``'s pandas output as Arrow. A zero-row frame carries no values to
     type its ``object`` columns by, so Arrow would make them ``null``; such a
     column that the bucket had takes the bucket's type instead, so empty
     buckets emit the same schema as full ones."""
-    out = pa.Table.from_pandas(df, preserve_index=False)
+    out = _plain_table(df)
     if out.num_rows:
         return out
     return pa.table(
@@ -371,7 +378,7 @@ def exchange_group_apply(
             else:
                 out = fn(base)
             if isinstance(out, pd.DataFrame):
-                out = pa.Table.from_pandas(out, preserve_index=False)
+                out = _plain_table(out)
             return rd.from_arrow(out)
         except (KeyError, AttributeError, IndexError, TypeError, ValueError) as exc:
             # Only the "fn assumes real columns" failure modes fall back to

@@ -9,7 +9,7 @@ Two operators:
 - :func:`segment_dup_stats` — per-document duplication signal
   (n_segs, dup_segs, dup_frac), the quality feature RefinedWeb thresholds on;
 - :func:`drop_duplicate_segments` — the rewrite: every duplicated occurrence
-  except the GLOBAL FIRST (min (doc_id, seg_no)) is removed and the
+  except the GLOBAL FIRST (min (doc_id, pos)) is removed and the
   document's text is reassembled from surviving segments plus its
   remainder words (the trailing ``len % k`` words are never segment
   members and always survive).
@@ -86,10 +86,12 @@ def _join_segments(values: pa.Array, num_segs: int, k: int) -> pa.Array:
 
 def _segment_rows(
     t: pa.Table, id_col: str, text_col: str, k: int,
-    fingerprint: bool, with_seg_no: bool,
+    fingerprint: bool, with_pos: bool,
 ) -> pa.Table:
-    """(doc_id, [seg_no,] seg|seg_hash) rows for one batch — full k-word
-    segments only; the trailing len%k words are not segments."""
+    """(doc_id, [pos,] seg|seg_hash) rows for one batch — full k-word
+    segments only; the trailing len%k words are not segments. ``pos`` is
+    the segment's word offset (seg_no × k), the offset that span rows
+    carry too, so both rewrites share one drop list kernel."""
     words, wc = _word_lists(t, text_col)
     n_full = wc // k
     lens = n_full * k
@@ -101,8 +103,8 @@ def _segment_rows(
     seg = _join_segments(taken, num_segs, k)
     ids = t.column(id_col).to_numpy(zero_copy_only=False)
     cols: dict = {id_col: pa.array(np.repeat(ids, n_full))}
-    if with_seg_no:
-        cols["seg_no"] = pa.array(_within_run_arange(n_full))
+    if with_pos:
+        cols["pos"] = pa.array(_within_run_arange(n_full) * k)
     if fingerprint:
         s = seg.to_numpy(zero_copy_only=False)
         cols["seg_hash"] = pa.array(
@@ -155,16 +157,20 @@ def segment_dup_stats(
         num_buckets,
     )
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["n_segs"] = df["n_segs"].astype(np.int64)
-        df["dup_segs"] = df["dup_segs"].astype(np.int64)
-        df["dup_frac"] = df["dup_segs"].to_numpy(dtype=np.float64) / df[
-            "n_segs"
-        ].to_numpy(dtype=np.float64)
-        return df
+    return stats.map_batches(
+        lambda df: finalize_dup_frac(df, "n_segs", "dup_segs"), batch_format="pandas"
+    )
 
-    return stats.map_batches(finalize, batch_format="pandas")
+
+def finalize_dup_frac(df: pd.DataFrame, n_col: str, dup_col: str) -> pd.DataFrame:
+    """Summed (n, dup) counts as int64 plus ``dup_frac`` = dup / n."""
+    df = df.copy()
+    df[n_col] = df[n_col].astype(np.int64)
+    df[dup_col] = df[dup_col].astype(np.int64)
+    df["dup_frac"] = df[dup_col].to_numpy(dtype=np.float64) / df[
+        n_col
+    ].to_numpy(dtype=np.float64)
+    return df
 
 
 # ---------------------------------------------------------------------------
@@ -172,41 +178,44 @@ def segment_dup_stats(
 # ---------------------------------------------------------------------------
 
 def _drop_rows(df: pd.DataFrame, id_col: str, key: str) -> pd.DataFrame:
-    """Bucket fn: duplicated occurrences that are NOT the global first
-    (first = min (doc_id, seg_no) per segment value)."""
+    """Bucket fn: duplicated occurrences (segments or windows) that are
+    NOT the global first (first = min (doc_id, pos) per key value)."""
     if len(df) == 0 or key not in df.columns:
         return pd.DataFrame(
             {
                 id_col: pd.Series([], dtype=np.int64),
-                "seg_no": pd.Series([], dtype=np.int64),
+                "pos": pd.Series([], dtype=np.int64),
             }
         )
-    d = df.sort_values([id_col, "seg_no"], kind="stable")
-    keep_first = ~d.duplicated(subset=[key], keep="first")
-    out = d.loc[~keep_first, [id_col, "seg_no"]]
-    return out.reset_index(drop=True)
+    d = df.sort_values([id_col, "pos"], kind="stable")
+    non_first = d.duplicated(subset=[key], keep="first")
+    return d.loc[non_first, [id_col, "pos"]].reset_index(drop=True)
 
 
 def _rewrite_batch(
     t: pa.Table, drops: pd.DataFrame, id_col: str, text_col: str, k: int,
     out_col: str,
 ) -> pa.Table:
-    """Rebuild text with dropped segments removed — one flat-word keep mask
-    per batch, no per-row Python."""
+    """Rebuild text with every word covered by a dropped ``k``-word
+    occurrence at (doc_id, pos) removed — interval coverage via one
+    difference-array pass, no per-row Python. Segments never overlap;
+    windows may."""
     words, wc = _word_lists(t, text_col)
     flat = words.flatten()
     total = int(wc.sum())
     keep = np.ones(total, dtype=bool)
     ids = t.column(id_col).to_numpy(zero_copy_only=False)
-    if len(drops):
+    if len(drops) and total:
         word_starts = np.concatenate(([0], np.cumsum(wc)[:-1]))
-        pos = pd.Series(np.arange(len(ids), dtype=np.int64), index=ids)
-        hit = drops[drops[id_col].isin(pos.index)]
+        rowpos = pd.Series(np.arange(len(ids), dtype=np.int64), index=ids)
+        hit = drops[drops[id_col].isin(rowpos.index)]
         if len(hit):
-            rows = pos.loc[hit[id_col]].to_numpy()
-            seg_starts = word_starts[rows] + hit["seg_no"].to_numpy() * k
-            kill = (seg_starts[:, None] + np.arange(k)[None, :]).ravel()
-            keep[kill] = False
+            rows = rowpos.loc[hit[id_col]].to_numpy()
+            starts = word_starts[rows] + hit["pos"].to_numpy()
+            delta = np.zeros(total + 1, dtype=np.int64)
+            np.add.at(delta, starts, 1)
+            np.add.at(delta, starts + k, -1)  # occurrences never cross a doc
+            keep = np.cumsum(delta[:-1]) == 0
     kept = flat.filter(pa.array(keep))
     kept_counts = np.zeros(len(ids), dtype=np.int64)
     if total:
@@ -233,30 +242,27 @@ def drop_duplicate_segments(
     """Dataset (id_col, out_col): each document's text with every duplicated
     segment occurrence except the global first removed; remainder words
     (len % k tail) always survive. Word separator is a single space.
-    The drop list reaches the text as in :func:`rewrite_with_drops`."""
+    The drop list reaches the text as in :func:`drop_duplicate_occurrences`."""
     key = "seg_hash" if fingerprint else "seg"
     segs = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: _segment_rows(t, id_col, text_col, k, fingerprint, True),
         batch_format="pyarrow",
     )
-    drops = exchange_group_apply(
-        segs, key, lambda df: _drop_rows(df, id_col, key), num_buckets
-    ).materialize()
-    return rewrite_with_drops(
-        ds, drops, id_col, text_col, out_col, "seg_no",
-        lambda t, d: _rewrite_batch(t, d, id_col, text_col, k, out_col),
-        num_buckets,
+    return drop_duplicate_occurrences(
+        ds, segs, key, id_col, text_col, out_col, k, num_buckets
     )
 
 
-def rewrite_with_drops(
-    ds, drops, id_col: str, text_col: str, out_col: str, pos_col: str,
-    rewrite, num_buckets: int | None,
+def drop_duplicate_occurrences(
+    ds, occurrences, key: str, id_col: str, text_col: str, out_col: str,
+    k: int, num_buckets: int | None,
 ):
-    """The two arms of a drop-list rewrite (segments here, spans in
-    ``spandedup``). ``drops`` is the materialized (id_col, pos_col) drop
-    list; ``rewrite(batch, drop_frame)`` rebuilds one batch of
-    (id_col, text_col) rows as (id_col, out_col).
+    """The rewrite of segments here and of spans in ``spandedup``.
+    ``occurrences`` holds (id_col, pos, key) rows, one per ``k``-word
+    segment or window; an exchange on ``key`` finds the drop list (every
+    duplicated occurrence but the global first), then each batch of
+    (id_col, text_col) rows is rebuilt as (id_col, out_col) in one of two
+    arms:
 
     - broadcast, while the drop list passes the payload gate
       (``joins.choose_arm`` on its block metadata): the list is ``ray.put``
@@ -270,6 +276,9 @@ def rewrite_with_drops(
 
     from .joins import _arrow_field_type, choose_arm
 
+    drops = exchange_group_apply(
+        occurrences, key, lambda df: _drop_rows(df, id_col, key), num_buckets
+    ).materialize()
     # a map over an empty corpus emits zero typed blocks — pin the output
     # schema with one empty typed block (same trick as dedup._empty_pairs_ds)
     try:
@@ -280,6 +289,9 @@ def rewrite_with_drops(
         pa.table({id_col: pa.array([], id_type), out_col: pa.array([], pa.string())})
     )
     src = ds.select_columns([id_col, text_col])
+
+    def rewrite(t: pa.Table, d: pd.DataFrame) -> pa.Table:
+        return _rewrite_batch(t, d, id_col, text_col, k, out_col)
 
     if choose_arm(drops) == "broadcast":
         ref = ray.put(drops.to_pandas())
@@ -301,7 +313,7 @@ def rewrite_with_drops(
         return pa.table(
             {
                 id_col: pc.cast(t.column(id_col), pa.int64()),
-                pos_col: pc.cast(t.column(pos_col), pa.int64()),
+                "pos": pc.cast(t.column("pos"), pa.int64()),
                 "_side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
             }
         )
@@ -318,11 +330,11 @@ def rewrite_with_drops(
             )
         side = t.column("_side").to_numpy(zero_copy_only=False)
         docs_t = t.filter(pa.array(side == 0)).select([id_col, text_col])
-        if pos_col in t.column_names:
-            dr = t.filter(pa.array(side == 1)).select([id_col, pos_col]).to_pandas()
-            dr[pos_col] = dr[pos_col].astype(np.int64)
+        if "pos" in t.column_names:
+            dr = t.filter(pa.array(side == 1)).select([id_col, "pos"]).to_pandas()
+            dr["pos"] = dr["pos"].astype(np.int64)
         else:
-            dr = pd.DataFrame({id_col: [], pos_col: pd.Series([], dtype=np.int64)})
+            dr = pd.DataFrame({id_col: [], "pos": pd.Series([], dtype=np.int64)})
         return rewrite(docs_t, dr)
 
     return schema_pin.union(

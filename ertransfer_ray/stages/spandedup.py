@@ -40,8 +40,9 @@ Scale shape (the 100 TB contract):
   volume grew with the bucket count).
 - the rewrite broadcasts the drop list map-side while it passes the
   payload gate (text never rides a shuffle) and degrades to the
-  doc_id-bucketed tagged-union exchange past it — the same two arms as
-  ``drop_duplicate_segments`` (``segdedup.rewrite_with_drops``).
+  doc_id-bucketed tagged-union exchange past it — the same drop list
+  kernel and two arms as ``drop_duplicate_segments``
+  (``segdedup.drop_duplicate_occurrences``).
 
 Cost honesty: stride-1 windows mean the exchange carries ~24 B/TOKEN
 (hash + doc_id + pos) — the same order as reading the corpus once, which
@@ -60,7 +61,12 @@ import pandas as pd
 import pyarrow as pa
 
 from .groupby import exchange_group_apply, grouped_aggregate
-from .segdedup import _within_run_arange, _word_lists, rewrite_with_drops
+from .segdedup import (
+    _within_run_arange,
+    _word_lists,
+    drop_duplicate_occurrences,
+    finalize_dup_frac,
+)
 
 #: rolling-polynomial multiplier for combining word hashes into window
 #: hashes (mod 2^64; any odd constant with good bit mixing works — this is
@@ -234,68 +240,10 @@ def window_dup_stats(
         num_buckets,
     )
 
-    return stats.map_batches(_finalize_dup_frac, batch_format="pandas")
-
-
-def _finalize_dup_frac(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.copy()
-    df["n_windows"] = df["n_windows"].astype(np.int64)
-    df["dup_windows"] = df["dup_windows"].astype(np.int64)
-    df["dup_frac"] = df["dup_windows"].to_numpy(dtype=np.float64) / df[
-        "n_windows"
-    ].to_numpy(dtype=np.float64)
-    return df
-
-
-def _drop_rows(df: pd.DataFrame, id_col: str, key: str) -> pd.DataFrame:
-    """Bucket fn: duplicated window occurrences that are NOT the global
-    first (first = min (doc_id, pos) per window value)."""
-    if len(df) == 0 or key not in df.columns:
-        return pd.DataFrame(
-            {
-                id_col: pd.Series([], dtype=np.int64),
-                "pos": pd.Series([], dtype=np.int64),
-            }
-        )
-    d = df.sort_values([id_col, "pos"], kind="stable")
-    non_first = d.duplicated(subset=[key], keep="first")
-    return d.loc[non_first, [id_col, "pos"]].reset_index(drop=True)
-
-
-def _rewrite_batch(
-    t: pa.Table, drops: pd.DataFrame, id_col: str, text_col: str, k: int,
-    out_col: str,
-) -> pa.Table:
-    """Rebuild text with every token covered by a dropped window removed —
-    interval coverage via one difference-array pass, no per-row Python."""
-    words, wc = _word_lists(t, text_col)
-    flat = words.flatten()
-    total = int(wc.sum())
-    keep = np.ones(total, dtype=bool)
-    ids = t.column(id_col).to_numpy(zero_copy_only=False)
-    if len(drops) and total:
-        word_starts = np.concatenate(([0], np.cumsum(wc)[:-1]))
-        rowpos = pd.Series(np.arange(len(ids), dtype=np.int64), index=ids)
-        hit = drops[drops[id_col].isin(rowpos.index)]
-        if len(hit):
-            rows = rowpos.loc[hit[id_col]].to_numpy()
-            starts = word_starts[rows] + hit["pos"].to_numpy()
-            delta = np.zeros(total + 1, dtype=np.int64)
-            np.add.at(delta, starts, 1)
-            np.add.at(delta, starts + k, -1)  # windows never cross a doc
-            keep = np.cumsum(delta[:-1]) == 0
-    kept = flat.filter(pa.array(keep))
-    kept_counts = np.zeros(len(ids), dtype=np.int64)
-    if total:
-        np.add.at(kept_counts, np.repeat(np.arange(len(ids)), wc), keep)
-    offs = np.concatenate(([0], np.cumsum(kept_counts)))
-    if offs[-1] > np.iinfo(np.int32).max:
-        lst = pa.LargeListArray.from_arrays(pa.array(offs), kept)
-    else:
-        lst = pa.ListArray.from_arrays(pa.array(offs.astype(np.int32)), kept)
-    import pyarrow.compute as pc
-
-    return pa.table({id_col: t.column(id_col), out_col: pc.binary_join(lst, " ")})
+    return stats.map_batches(
+        lambda df: finalize_dup_frac(df, "n_windows", "dup_windows"),
+        batch_format="pandas",
+    )
 
 
 def drop_duplicate_spans(
@@ -310,18 +258,14 @@ def drop_duplicate_spans(
     """Dataset (id_col, out_col): each document's text with every token
     covered by a duplicated non-first ``k``-word window removed. Word
     separator is a single space; documents with < k words are unchanged.
-    The drop list reaches the text as in ``segdedup.rewrite_with_drops``.
+    The drop list reaches the text as in
+    ``segdedup.drop_duplicate_occurrences``.
     """
     key = "win_hash" if fingerprint else "win"
     wins = ds.select_columns([id_col, text_col]).map_batches(
         lambda t: _window_rows(t, id_col, text_col, k, fingerprint),
         batch_format="pyarrow",
     )
-    drops = exchange_group_apply(
-        wins, key, lambda df: _drop_rows(df, id_col, key), num_buckets
-    ).materialize()
-    return rewrite_with_drops(
-        ds, drops, id_col, text_col, out_col, "pos",
-        lambda t, d: _rewrite_batch(t, d, id_col, text_col, k, out_col),
-        num_buckets,
+    return drop_duplicate_occurrences(
+        ds, wins, key, id_col, text_col, out_col, k, num_buckets
     )

@@ -9,7 +9,6 @@ import pytest
 import ray.data as rd
 
 from ertransfer_ray.stages.groupby import exchange_group_apply
-from ertransfer_ray.stages.incremental import _pad_ids
 from ertransfer_ray.stages.joins import _band_index, keys_of, range_join
 from ertransfer_ray.stages.sampling import _mix_hash, filter_by_quantile
 from ertransfer_ray.stages.windows import (
@@ -99,22 +98,6 @@ def test_exchange_empty_path_propagates_genuine_bugs():
 
     with pytest.raises(RuntimeError, match="genuine fn bug"):
         exchange_group_apply(_schemaless_empty(), "k", bad, num_buckets=2)
-
-
-# ---------------------------------------------------------------------------
-# _pad_ids: nonnegative contract (lexicographic==numeric ordering)
-# ---------------------------------------------------------------------------
-
-def test_pad_ids_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        _pad_ids(pa.array([5, -5], type=pa.int64()))
-
-
-def test_pad_ids_preserves_numeric_order():
-    ids = [0, 3, 10, 99, 10**18]
-    padded = _pad_ids(pa.array(ids, type=pa.int64())).to_pylist()
-    assert padded == sorted(padded)
-    assert all(len(p) == 20 for p in padded)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +194,8 @@ def test_word_shingles_identical_to_reference_form():
 
 def test_minhash_band_keys_pinned_to_arrow_shingle_family():
     """Band keys through the dedup emitter must equal keys recomputed from
-    the shared Arrow shingle-hash kernel — blocking / near-dup /
-    incremental agree by construction because all three call it. (Round 5
+    the shared Arrow shingle-hash kernel — blocking and near-dup
+    dedup agree by construction because both call it. (Round 5
     switched the shingle HASH family from shingle-string SipHash to the
     vocab-hash polynomial combine; the old byte-pin against string
     shingles is superseded — oracle neutrality of the swap is pinned by

@@ -4,7 +4,6 @@ import pyarrow as pa
 import ray.data as rd
 
 from ertransfer_ray.stages.clustering import (
-    clusters_to_pair_set,
     connected_components,
     greedy_unique_mapping,
     mutual_best_rounds,
@@ -133,11 +132,6 @@ def test_cc_bridge_merges():
 def test_cc_empty():
     out = connected_components(_edges([])).to_pandas()
     assert len(out) == 0
-
-
-def test_clusters_to_pair_set():
-    df = pd.DataFrame({"url": ["a", "b", "c", "x"], "cluster_id": [1, 1, 1, 2]})
-    assert clusters_to_pair_set(df) == {("a", "b"), ("a", "c"), ("b", "c")}
 
 
 def test_key_width_rule_at_the_one_word_limit():

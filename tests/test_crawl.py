@@ -121,15 +121,3 @@ def test_run_er_dedup_captures(ray_session):
     with_dups = clusters(pa.concat_tables([base, old]))
     without = clusters(base)
     pd.testing.assert_frame_equal(with_dups, without)
-
-
-def test_drop_blocklisted_hosts(ray_session):
-    from ertransfer_ray.stages.crawl import drop_blocklisted_hosts
-
-    ds = rd.from_arrow(_corpus())
-    out = drop_blocklisted_hosts(
-        ds, ["site1.example", "site4.example"]
-    ).to_pandas()
-    hosts = out.url.str.extract(r"://(?:www\.)?([^/:?#]+)", expand=False).str.lower()
-    assert set(hosts) == {"site2.example", "site3.example"}
-    assert len(out) == 3  # 1 site2 + 2 site3 captures survive

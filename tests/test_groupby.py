@@ -205,3 +205,21 @@ def test_empty_buckets_keep_the_bucket_types(fn_format):
             str(b.schema.remove_metadata()) for b in out
         ]
         assert out[0].schema.field("k").type == pa.string()
+
+
+
+def test_exchange_output_schemas_hash():
+    """A pandas ``fn``'s output blocks carry no pandas metadata: pyarrow
+    cannot hash a schema that has it, and Ray hashes every block's schema
+    when it unifies them."""
+    import pyarrow as pa
+    import ray
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "a"], "v": [1, 2, 3]}))
+    out = exchange_group_apply(
+        ds, "k", lambda df: df.groupby("k", as_index=False)["v"].sum(), num_buckets=2
+    )
+    blocks = [ray.get(r) for b in out.iter_internal_ref_bundles() for r in b.block_refs]
+    assert len(blocks) == 2 and sum(b.num_rows for b in blocks) == 2
+    for b in blocks:
+        hash(b.schema)

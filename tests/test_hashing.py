@@ -29,17 +29,6 @@ def test_minhash_empty_doc():
     assert (sig[0] == np.uint64((1 << 32) - 1)).all()
 
 
-def test_lsh_band_keys_shapes_and_prefix():
-    sig = H.minhash_signatures([["a", "b"], ["a", "b"], ["q"]], num_perm=32)
-    bands = H.lsh_band_keys(sig, num_bands=8)
-    assert len(bands) == 8
-    # identical docs share every band key
-    for b in bands:
-        assert b[0] == b[1]
-    assert bands[0][0].startswith("mh0:")
-    assert bands[7][0].startswith("mh7:")
-
-
 def test_simhash_near_duplicates_close():
     a = "the quick brown fox jumps over the lazy dog extra tokens here".split()
     b = "the quick brown fox jumps over the lazy dog extra tokens there".split()

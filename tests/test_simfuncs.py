@@ -40,15 +40,13 @@ def test_csr_kernels_on_repeated_rows():
         assert grams[p] == S.jaccard(S.qgrams(texts[i], 3), S.qgrams(texts[j], 3))
 
 
-def test_cosine_matrix_and_pairwise():
+def test_cosine_matrix():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     q = np.array([[1.0, 0.0]])
     cm = S.cosine_matrix(x, q)
     assert cm.shape == (3, 1)
     assert abs(cm[0, 0] - 1.0) < 1e-12
     assert abs(cm[2, 0] - 1 / np.sqrt(2)) < 1e-12
-    pw = S.pairwise_cosine(x[:2], x[:2])
-    assert np.allclose(pw, 1.0)
 
 
 def test_softmax():

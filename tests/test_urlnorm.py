@@ -18,6 +18,7 @@ CASES = [
     # (input, expected url_norm, expected host)
     ("HTTP://WWW.Ex.COM:80/A/B?x=1#f", "http://ex.com/A/B?x=1", "ex.com"),
     ("https://Ex.com:443/", "https://ex.com", "ex.com"),
+    ("HTTPS://Site.Example/Path/", "https://site.example/Path", "site.example"),
     ("https://ex.com:8443/p", "https://ex.com:8443/p", "ex.com"),  # non-default port kept
     ("http://ex.com:443/p", "http://ex.com:443/p", "ex.com"),  # wrong-scheme port kept
     ("https://ex.com/p?utm_source=a&utm_medium=b&id=3", "https://ex.com/p?id=3", "ex.com"),
