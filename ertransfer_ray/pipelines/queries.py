@@ -20,6 +20,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -69,7 +70,17 @@ def _pandas(ds) -> pd.DataFrame:
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    """``table``'s parquet file as a Dataset of ``columns``, read with the
+    file's schema less its metadata. A pandas-written file carries pandas
+    metadata on every block it reads into; pyarrow cannot hash such a
+    schema, so each schema unification downstream (a repartition, a
+    concat) logs "Failed to hash the schemas" and skips its same-schema
+    early exit."""
+    path = f"{sf_dir}/{table}.parquet"
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 _ORACLE_SIDE_DIR = "/tmp/ertransfer_oracle_side"

@@ -34,6 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions.arrays import group_pair_index
 from ..functions.hashing import (
@@ -46,16 +47,13 @@ from ..functions.hashing import (
     word_shingles,
 )
 from ..functions.simfuncs import qgrams
-from .groupby import exchange_group_apply
+from .groupby import _arrow_block, exchange_group_apply, with_meta
 
 
 class BlockKeyEmitter:
-    """map_batches callable: explode each page into (block_key, url, payload) rows.
-
-    Stateful-ish setup (minhash coefficients) happens once per instance —
-    the actor-pool pattern — though the state is small enough that task
-    closures also work.
-    """
+    """Callable over an Arrow batch of normalized pages: explode each page
+    into (block_key, url) rows. The minhash coefficients are built once per
+    instance."""
 
     def __init__(
         self,
@@ -136,15 +134,38 @@ class BlockKeyEmitter:
 
 
 def emit_block_keys(norm_ds, batch_size: int = 1024, **emitter_kwargs):
-    """normalized pages Dataset → exploded (block_key, url, …) Dataset.
+    """normalized pages Dataset → exploded (block_key, url) Dataset.
 
-    Smaller batches than usual: MinHash permutation is the most
-    compute-dense kernel in the pipeline (~num_perm ops per shingle), so
-    finer batches keep every core busy instead of two giant tasks.
+    One task per block of the materialized input (a lazy input runs once)
+    applies the emitter to ``batch_size``-row slices of its block and
+    returns the block's key rows, so over a materialized table this starts
+    no streaming execution. Small slices: MinHash permutation is the most
+    compute-dense kernel in the pipeline (~num_perm ops per shingle), and
+    a slice bounds its signature matrix.
     """
-    return norm_ds.map_batches(
-        BlockKeyEmitter(**emitter_kwargs), batch_format="pyarrow", batch_size=batch_size
-    )
+    import ray.data as rd
+
+    from .groupby import _materialized_blocks, dataset_of
+
+    emitter = BlockKeyEmitter(**emitter_kwargs)
+    refs, _, _ = _materialized_blocks(norm_ds)
+    if not refs:
+        return rd.from_arrow(
+            pa.table({"block_key": pa.array([], pa.int64()), "url": pa.array([], pa.string())})
+        )
+    return dataset_of([_emit_keys.remote(r, emitter, batch_size) for r in refs])
+
+
+@ray.remote(num_returns=2)
+def _emit_keys(block, emitter: BlockKeyEmitter, batch_size: int):
+    """One block's key rows, emitted ``batch_size`` rows at a time, with
+    their metadata. Module level: a remote function defined inside its
+    caller is exported to the cluster again on every call (~1.6 ms on one
+    CPU)."""
+    t = _arrow_block(block)
+    return with_meta(pa.concat_tables(
+        [emitter(t.slice(o, batch_size)) for o in range(0, t.num_rows, batch_size)]
+    ))
 
 
 def _pairs_in_bucket(df: pd.DataFrame, max_block_size: int, window: int) -> pd.DataFrame:
@@ -199,12 +220,12 @@ def generate_pairs(
     the near-dup benchmark corpus). Past the key-set gate the unfiltered
     exchange runs, which stays correct.
     """
-    from .groupby import counted_key_survivors
+    from .groupby import counted_key_survivors, materialized
     from .joins import BroadcastSemiJoin, put_broadcast
 
     # consumed twice (count pass + filtered exchange): pin the keyed rows
     # once instead of re-running the minhash emitter
-    keyed_ds = keyed_ds.materialize()
+    keyed_ds = materialized(keyed_ds)
     if keyed_ds.count() >= PREFILTER_MIN_ROWS:
         surv = counted_key_survivors(keyed_ds, "block_key", num_buckets)
         if surv is not None:
@@ -248,27 +269,22 @@ def attach_pair_payloads(
     any side table reaches the driver):
     - broadcast — the payload side fits a worker heap: the driver
       consolidates the side tables and ``ray.put`` s the (url → title,
-      payload) table ONCE; map-side lookup per batch. Zero shuffles.
+      payload) table ONCE; one task per pair block looks its endpoints up.
+      Zero shuffles.
     - exchange — two bucketed cogroup joins (left side, then right side)
       over the same side tables. Needed when the payload side no longer
       fits one heap (the 10^12-doc regime); costs two all-to-all barriers,
       which is why it is not taken at broadcastable sizes (measured: +57s
       on a 100k-doc corpus purely from the extra barriers).
-    Over materialized pairs and a materialized ``norm_ds`` this starts no
-    streaming execution: the endpoint scan and the side build are plain
+    The result is materialized on both arms. Over materialized pairs and a
+    materialized ``norm_ds`` the broadcast arm starts no streaming
+    execution: the endpoint scan, the side build and the attach are plain
     tasks over their blocks.
     """
-    import ray
     import ray.data as rd
 
-    from .groupby import _arrow_block, _materialized_blocks, materialized
-    from .joins import (
-        BroadcastSemiJoin,
-        bucketed_join,
-        cached_side,
-        choose_arm,
-        pair_endpoints,
-    )
+    from .groupby import _materialized_blocks, dataset_of, materialized
+    from .joins import bucketed_join, choose_arm, pair_endpoints
 
     # The useful side is never the corpus — it is the semi-join-filtered
     # projection (urls referenced by pairs only, O(pairs) rows), so BOTH
@@ -283,24 +299,9 @@ def attach_pair_payloads(
 
     side_refs = None
     if needed_arr is not None:
-
-        @ray.remote(num_returns=2)
-        def project_side(block, needed):
-            t = BroadcastSemiJoin(needed, "url")(_arrow_block(block))
-            side = pa.table(
-                {
-                    "url": t.column("url"),
-                    "title": t.column("norm_title"),
-                    "payload": pc.utf8_slice_codeunits(
-                        t.column("norm_text"), 0, payload_chars
-                    ),
-                }
-            )
-            return side, side.nbytes
-
         needed_ref = ray.put(needed_arr)
         norm_refs, _, _ = _materialized_blocks(norm_ds)
-        outs = [project_side.remote(r, needed_ref) for r in norm_refs]
+        outs = [_project_side.remote(r, needed_ref, payload_chars) for r in norm_refs]
         nbytes = sum(ray.get([n for _, n in outs]))
         side_refs = [t for t, _ in outs]
     if side_refs is not None and choose_arm(nbytes) == "broadcast":
@@ -344,31 +345,11 @@ def attach_pair_payloads(
                 keep[0] = True
                 keep[1:] = u[1:] != u[:-1]
             side_tbl = s.filter(pa.array(keep))
-        side_refs = [ray.put(side_tbl)]
-
-        # The attach stays ARROW end-to-end: probe with index_in + take, no
-        # pandas index, no to_pandas of the side. The previous pandas-index
-        # form converted the full side to Python objects once per worker —
-        # and in workers that already ran the emit/exchange stages that
-        # conversion exhibits an allocator pathology (measured 10-21 s of
-        # pure CPU inside Arrow's table_to_dataframe for a conversion a
-        # fresh process does in 0.35 s; ~300 CPU-seconds across one attach).
-        # index_in/take never allocate Python objects at all.
-        def attach_both(t: pa.Table) -> pa.Table:
-            side = cached_side(side_refs, lambda x: x)
-            urls = side.column("url")
-            li = pc.index_in(t.column("left_url"), value_set=urls)
-            ri = pc.index_in(t.column("right_url"), value_set=urls)
-            cols = {n: t.column(n) for n in t.column_names}
-            cols["left_title"] = pc.take(side.column("title"), li)
-            cols["left_payload"] = pc.take(side.column("payload"), li)
-            cols["right_title"] = pc.take(side.column("title"), ri)
-            cols["right_payload"] = pc.take(side.column("payload"), ri)
-            return pa.table(cols)
-
-        return pairs_ds.map_batches(
-            attach_both, batch_format="pyarrow", batch_size=16384
-        )
+        side_ref = ray.put(side_tbl)
+        pair_refs, _, _ = _materialized_blocks(pairs_ds)
+        if not pair_refs:
+            return pairs_ds
+        return dataset_of([_attach_both.remote(r, side_ref) for r in pair_refs])
 
     # exchange arm: two bucketed cogroup joins. Sides come from the
     # PROJECTED (needed-urls-only) table whenever the url set passed its
@@ -400,6 +381,49 @@ def attach_pair_payloads(
     return bucketed_join(with_left, right_side, "right_url", num_buckets=num_buckets)
 
 
+@ray.remote(num_returns=2)
+def _project_side(block, needed: pa.Array, payload_chars: int):
+    """One normalized block's payload side: the pages ``needed`` names as
+    (url, title, payload), and the side's bytes for the gate."""
+    from .joins import BroadcastSemiJoin
+
+    t = BroadcastSemiJoin(needed, "url")(_arrow_block(block))
+    side = pa.table(
+        {
+            "url": t.column("url"),
+            "title": t.column("norm_title"),
+            "payload": pc.utf8_slice_codeunits(t.column("norm_text"), 0, payload_chars),
+        }
+    )
+    return side, side.nbytes
+
+
+@ray.remote(num_returns=2)
+def _attach_both(block, side: pa.Table):
+    """One pair block with the title and payload of both ends, looked up in
+    the broadcast side (url, title, payload), which Ray hands every task
+    zero-copy from the object store, and the block's metadata.
+
+    The attach stays ARROW end-to-end: probe with index_in + take, no
+    pandas index, no to_pandas of the side. The previous pandas-index form
+    converted the full side to Python objects once per worker — and in
+    workers that already ran the emit/exchange stages that conversion
+    exhibits an allocator pathology (measured 10-21 s of pure CPU inside
+    Arrow's table_to_dataframe for a conversion a fresh process does in
+    0.35 s; ~300 CPU-seconds across one attach). index_in/take never
+    allocate Python objects at all."""
+    t = _arrow_block(block)
+    urls = side.column("url")
+    li = pc.index_in(t.column("left_url"), value_set=urls)
+    ri = pc.index_in(t.column("right_url"), value_set=urls)
+    cols = {n: t.column(n) for n in t.column_names}
+    cols["left_title"] = pc.take(side.column("title"), li)
+    cols["left_payload"] = pc.take(side.column("payload"), li)
+    cols["right_title"] = pc.take(side.column("title"), ri)
+    cols["right_payload"] = pc.take(side.column("payload"), ri)
+    return with_meta(pa.table(cols))
+
+
 def blocking_stats(pairs_ds, truth_pairs_df: pd.DataFrame) -> dict:
     """A1 blocking precision/recall vs golden pairs.
 
@@ -407,9 +431,6 @@ def blocking_stats(pairs_ds, truth_pairs_df: pd.DataFrame) -> dict:
     (/root/reference/splitters/KNN-Join/splitter.py:94,105-110).
     ``truth_pairs_df`` must have (left_url, right_url, label) with left<right.
     """
-    import pyarrow.compute as pc
-    import ray
-
     truth = truth_pairs_df[truth_pairs_df["label"] == 1].drop_duplicates(
         ["left_url", "right_url"]
     )

@@ -30,7 +30,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
+from .groupby import _arrow_block
 
 # ---------------------------------------------------------------------------
 # D4: reciprocal top-1
@@ -315,6 +317,12 @@ def _checksum(labels_ds, cols: tuple[str, ...]) -> tuple[int, int]:
     return s1, s2
 
 
+@ray.remote
+def _url_columns(block) -> pa.Table:
+    """One edge block's two url columns."""
+    return _arrow_block(block).select(["left_url", "right_url"])
+
+
 def connected_components(
     edges_ds,
     max_rounds: int = 25,
@@ -327,8 +335,10 @@ def connected_components(
     ``cluster_id`` is the lexicographically smallest url of the component —
     deterministic at any parallelism level (FIXTURES.md invariant 2).
 
-    The input is materialized once as its two url columns; both paths and
-    the edge count read that copy. Two execution paths:
+    A lazy input runs once; a materialized one is used as it is. One task
+    per block selects its two url columns, and the edge count, read from
+    block metadata, decides the path before any edge reaches the driver.
+    Two execution paths:
     - edge count ≤ ``driver_threshold``: exact union-find on the driver
       (the candidate set is provably small — the guide's sanctioned case);
     - else distributed min-label propagation over hashed url keys: each
@@ -350,19 +360,22 @@ def connected_components(
     """
     import ray.data as rd
 
-    from .groupby import exchange_group_apply
+    from .groupby import _materialized_blocks, exchange_group_apply, materialized
 
-    edges = edges_ds.select_columns(["left_url", "right_url"]).materialize()
-    n_edges = edges.count()  # block metadata of the materialized copy
+    edges_ds = materialized(edges_ds)
+    n_edges = edges_ds.count()  # block metadata
     if n_edges == 0:
         return rd.from_arrow(
             pa.table({"url": pa.array([], pa.string()), "cluster_id": pa.array([], pa.string())})
         )
+    refs, _, _ = _materialized_blocks(edges_ds)
+    edge_refs = [_url_columns.remote(r) for r in refs]
     if n_edges <= driver_threshold:
         rows: list[tuple[str, str]] = []
-        for b in edges.iter_batches(batch_format="pandas"):
-            rows.extend(zip(b["left_url"].tolist(), b["right_url"].tolist()))
+        for t in ray.get(edge_refs):
+            rows.extend(zip(t.column("left_url").to_pylist(), t.column("right_url").to_pylist()))
         return rd.from_pandas(_driver_union_find(rows))
+    edges = rd.from_arrow_refs(edge_refs)
 
     # ---- distributed path ----
     # Node keys inside the rounds are stable hashes of the urls, carried as

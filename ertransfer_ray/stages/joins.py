@@ -208,18 +208,21 @@ def pair_endpoints(pairs, cols: list[str]) -> pa.Array | None:
     driver. Callers hold the pairs materialized, so this starts no
     streaming execution (where :func:`collect_key_set` streams a lazy
     side)."""
-    from .groupby import _arrow_block, _materialized_blocks
+    from .groupby import _materialized_blocks
 
     refs, _, _ = _materialized_blocks(pairs)
-
-    @ray.remote(num_returns=2)
-    def block_endpoints(block):
-        t = _arrow_block(block)
-        u = pc.unique(pa.chunked_array([c for n in cols for c in t.column(n).chunks]))
-        return u, u.nbytes
-
-    chunks = gated_key_chunks([block_endpoints.remote(r) for r in refs])
+    chunks = gated_key_chunks([_block_endpoints.remote(r, cols) for r in refs])
     return None if chunks is None else _sorted_unique(chunks)
+
+
+@ray.remote(num_returns=2)
+def _block_endpoints(block, cols: list[str]):
+    """The distinct ids of one block's ``cols``, and their bytes."""
+    from .groupby import _arrow_block
+
+    t = _arrow_block(block)
+    u = pc.unique(pa.chunked_array([c for n in cols for c in t.column(n).chunks]))
+    return u, u.nbytes
 
 
 class BroadcastHashJoin:

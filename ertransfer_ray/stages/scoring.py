@@ -1,11 +1,12 @@
-"""Pairwise scoring stage: a stateful actor pool that turns candidate pairs
-into match probabilities.
+"""Pairwise scoring stage: a scorer class that turns candidate pairs into
+match probabilities.
 
 Ray-native analog of the reference's matcher step (T5/T6): the scorer is a
-callable CLASS handed to ``map_batches(cls, concurrency=N, batch_size=B)`` —
-weights/config load once per actor in ``__init__`` (the reference loads its
-HF checkpoint once per process, /root/reference/methods/emtransformer/
-entrypoint.py:83-109), feature computation per batch in ``__call__``.
+callable CLASS — weights/config load once in ``__init__`` (the reference
+loads its HF checkpoint once per process, /root/reference/methods/
+emtransformer/entrypoint.py:83-109), feature computation per batch in
+``__call__``. ``run_er`` builds one instance and ships it to stateless
+tasks; ``score_pairs`` can also hand the class to an actor pool.
 
 Features are the reference's classical matcher family
 (/root/reference/methods/magellan/entrypoint.py:63-127 auto-generates the
@@ -155,7 +156,7 @@ def compute_pair_features(
 
 
 class PairScorer:
-    """Actor-pool scorer: features → logistic probability.
+    """Scorer: features → logistic probability.
 
     ``weights`` may be a dict, a JSON file path, or None (defaults). At 100 TB
     the same class holds the real model: load it here, once per actor.

@@ -2,6 +2,7 @@
 pairwise F1 ≥ 0.99 on labeled pairs of the synthetic corpus."""
 
 import pandas as pd
+import pytest
 import ray.data as rd
 
 from ertransfer_ray.pipelines.er_pipeline import ERConfig, run_er
@@ -89,6 +90,96 @@ def test_flagship_identical_at_pinned_and_default_bucket_counts(pages_corpus):
     ]
     assert len(outs[0]) > 0
     pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
+def _union_find(edges: pd.DataFrame) -> pd.DataFrame:
+    """Reference clusters: plain union-find with the smaller root kept, so
+    each root is its component's smallest url."""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in zip(edges["left_url"], edges["right_url"]):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    urls = sorted(parent)
+    return pd.DataFrame({"url": urls, "cluster_id": [find(u) for u in urls]})
+
+
+@pytest.fixture(scope="module")
+def default_run(pages_corpus):
+    res = run_er(rd.from_arrow(pages_corpus["pages"]))
+    preds = res["predictions"].to_pandas().sort_values(
+        ["left_url", "right_url"], ignore_index=True
+    )
+    return preds, _union_find(preds[preds["prob"] > ERConfig().theta])
+
+
+def _one_cpu(monkeypatch):
+    from ertransfer_ray.stages import groupby
+
+    monkeypatch.setattr(groupby, "cluster_cpus", lambda: 1)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["default", "one_cpu", "one_cpu_split", "exchange_arm", "distributed_cc", "three_buckets"],
+)
+def test_run_er_clusters_equal_reference_union_find(
+    pages_corpus, default_run, monkeypatch, setting
+):
+    """``run_er`` clusters are byte-identical to a reference union-find over
+    the edges above ``theta``, and its predictions are the same, on every
+    arm: the default plan, one bucket with no split on a one-CPU session,
+    the split forced there (``SINGLE_BUCKET_BYTES`` 0), the payload
+    exchange arm (``PAYLOAD_LIMIT`` 0), distributed connected components,
+    and three pinned buckets. The pairs and predictions schemas are the
+    same on each."""
+    import pyarrow as pa
+
+    from ertransfer_ray.stages import groupby, joins
+
+    cfg = ERConfig()
+    if setting.startswith("one_cpu"):
+        _one_cpu(monkeypatch)
+    if setting == "one_cpu_split":
+        monkeypatch.setattr(groupby, "SINGLE_BUCKET_BYTES", 0)
+    if setting == "exchange_arm":
+        monkeypatch.setattr(joins, "PAYLOAD_LIMIT", 0)
+    if setting == "distributed_cc":
+        cfg = ERConfig(cc_driver_threshold=0)
+    if setting == "three_buckets":
+        cfg = ERConfig(num_buckets=3)
+    res = run_er(rd.from_arrow(pages_corpus["pages"]), cfg)
+
+    preds, expected = default_run
+    assert len(expected) > 0
+    got = res["clusters"].to_pandas().sort_values("url", ignore_index=True)
+    pd.testing.assert_frame_equal(got, expected)
+    pd.testing.assert_frame_equal(
+        res["predictions"].to_pandas().sort_values(["left_url", "right_url"], ignore_index=True),
+        preds,
+    )
+    s = pa.string()
+    assert res["pairs"].schema().base_schema == pa.schema(
+        [("left_url", s), ("right_url", s), ("truncated", pa.int8()),
+         ("left_title", s), ("left_payload", s), ("right_title", s), ("right_payload", s)]
+    )
+    assert res["predictions"].schema().base_schema == pa.schema(
+        [("left_url", s), ("right_url", s), ("prob", pa.float64())]
+    )
+
+
+def test_run_er_rejects_an_actor_pool_scorer(pages_corpus):
+    """The scorer runs as stateless tasks only: any other
+    ``scorer_concurrency`` is an error, not a silent second path."""
+    for concurrency in (2, (1, 2), None):
+        with pytest.raises(ValueError, match="scorer_concurrency"):
+            run_er(rd.from_arrow(pages_corpus["pages"]), ERConfig(scorer_concurrency=concurrency))
 
 
 def test_run_er_empty_corpus(ray_session):

@@ -4,8 +4,8 @@ driver before a gate decides.
 A Ray Data streaming execution costs 35-45 ms on one CPU even on a few kB
 (about 20 ms of it is the executor's 10 ms output-queue poll), so work over
 blocks that are already materialized runs as plain tasks and starts none.
-``run_er`` runs three: normalize, key emission, and the score → cluster
-chain."""
+``run_er`` runs one at its default config: the normalize pass over its lazy
+input."""
 
 import numpy as np
 import pandas as pd
@@ -46,11 +46,11 @@ def _pairs() -> "rd.Dataset":
     return rd.from_pandas(df).repartition(4).materialize()
 
 
-def test_run_er_starts_three_executions(pages_corpus, executions):
+def test_run_er_starts_one_execution(pages_corpus, executions):
     pages = rd.from_arrow(pages_corpus["pages"])
     executions.clear()
     out = run_er(pages)
-    assert len(executions) == 3
+    assert len(executions) == 1
     assert out["clusters"].count() > 0
 
 

@@ -516,3 +516,49 @@ def test_queries_module_compiles_with_warnings_as_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(source, q.__file__, "exec")
+
+
+def test_read_of_a_pandas_written_table_logs_no_schema_hash_warning(tmp_path):
+    """``queries._read`` strips the pandas metadata a pandas-written file
+    carries, so Ray's schema unification over its repartitioned blocks
+    hashes the schemas and logs no "Failed to hash the schemas". A plain
+    ``read_parquet`` of the same file logs it once per unification. (Ray's
+    loggers do not propagate to the root, so the test listens on the one
+    that logs it.)"""
+    import logging
+
+    import ray
+    from ray.data._internal.arrow_ops import transform_pyarrow
+
+    from ertransfer_ray.pipelines.queries import _read
+
+    pd.DataFrame({
+        "k": np.arange(300) % 7,
+        "v": np.arange(300, dtype=np.float64),
+        "ts": pd.date_range("2020-01-01", periods=300, freq="h"),
+    }).to_parquet(tmp_path / "t.parquet")
+
+    class Count(logging.Handler):
+        n = 0
+
+        def emit(self, record):
+            Count.n += "Failed to hash the schemas" in record.getMessage()
+
+    def warnings_on_unify(ds) -> int:
+        blocks = ray.get(ds.repartition(3).materialize().to_arrow_refs())
+        Count.n = 0
+        handler = Count()
+        transform_pyarrow.logger.addHandler(handler)
+        try:
+            for b in blocks:
+                transform_pyarrow.unify_schemas([b.schema, b.schema])
+        finally:
+            transform_pyarrow.logger.removeHandler(handler)
+        return Count.n
+
+    assert warnings_on_unify(rd.read_parquet(str(tmp_path / "t.parquet"))) == 3
+    read = _read(str(tmp_path), "t")
+    assert warnings_on_unify(read) == 0
+    got = read.to_pandas()
+    assert list(got.columns) == ["k", "v", "ts"] and str(got["ts"].dtype) == "datetime64[ns]"
+    assert list(_read(str(tmp_path), "t", ["ts", "k"]).to_pandas().columns) == ["ts", "k"]
